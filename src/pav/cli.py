@@ -41,7 +41,7 @@ def _parse_path(text: str) -> dyck.DyckPath:
 def _parse_perm(text: str) -> perms.Permutation:
     try:
         return perms.Permutation(text.strip())
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise DataError(f"invalid permutation {text!r}: {exc}") from exc
 
 
@@ -49,7 +49,7 @@ def _parse_tree(text: str) -> trees.OrderedTree:
     try:
         parents = [-1] + [int(tok) for tok in text.split()]
         return trees.OrderedTree(np.array(parents, dtype=np.int64))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise DataError(f"invalid tree {text!r}: {exc}") from exc
 
 

@@ -30,10 +30,11 @@ class DyckPath:
     """Immutable Dyck path.
 
     Steps are held as a read-only int8 array of +1/-1; the height profile
-    gamma(0..2n) is computed once on demand and cached.
+    gamma(0..2n) and the excursion table are computed once on demand and
+    cached.
     """
 
-    __slots__ = ("_steps", "_heights")
+    __slots__ = ("_steps", "_heights", "_excursions")
 
     def __init__(self, steps, validated: bool = False):
         if isinstance(steps, DyckPath):
@@ -48,6 +49,7 @@ class DyckPath:
         arr.setflags(write=False)
         self._steps = arr
         self._heights = None
+        self._excursions = None
 
     @property
     def steps(self) -> np.ndarray:
@@ -270,7 +272,9 @@ class ExcursionTable:
 
     v[i-1] is the position after the i-th up-step, h[i-1] the height
     there, l[i-1] the (even) length of the excursion it opens.  The
-    excursion occupies positions [v_i - 1, v_i - 1 + l_i].
+    excursion occupies positions [v_i - 1, v_i - 1 + l_i].  The arrays
+    are read-only: the table is cached on its path and shared by every
+    caller.
     """
 
     n: int
@@ -289,31 +293,36 @@ class ExcursionTable:
 
 
 def excursions(path: DyckPath) -> ExcursionTable:
-    """Compute (v_i, h_i, l_i) for all n excursions in O(n log n).
+    """(v_i, h_i, l_i) for all n excursions, computed once per path in
+    O(n log n) and cached on it.
 
     Matching rule: inside height level h, the k-th up-step into the level
     closes with the k-th down-step out of it, since entries and exits of
     a level strictly alternate.  Grouping both step families by level
     with one stable argsort matches every excursion at once.
     """
+    if path._excursions is not None:
+        return path._excursions
     steps = path.steps
     n = path.n
     if n == 0:
         raise EmptySet("excursions are undefined for the empty path")
-    after = path.heights[1:]  # gamma(x) for x = 1..2n
-    up = steps == 1
-    pos = np.arange(1, steps.size + 1, dtype=np.int64)
-    up_pos = pos[up]
-    up_level = after[up]
-    down_pos = pos[~up]
-    down_level = after[~up] + 1
-    order_u = np.argsort(up_level, kind="stable")
-    order_d = np.argsort(down_level, kind="stable")
+    gamma = path.heights
+    up_pos = np.flatnonzero(steps == 1) + 1  # position after each up-step
+    down_pos = np.flatnonzero(steps != 1) + 1
+    up_level = gamma[up_pos]
+    # Levels lie in 1..max height; below 2**16 (heights are O(sqrt n) on
+    # uniform paths) numpy's stable argsort is a radix sort.
+    level = np.min_scalar_type(up_level.max())
+    order_u = np.argsort(up_level.astype(level), kind="stable")
+    order_d = np.argsort((gamma[down_pos] + 1).astype(level), kind="stable")
     close = np.empty(n, dtype=np.int64)
     close[order_u] = down_pos[order_d]
-    table = ExcursionTable(n=n, v=up_pos, h=up_level.astype(np.int64),
-                           l=close - up_pos + 1)
+    table = ExcursionTable(n=n, v=up_pos, h=up_level, l=close - up_pos + 1)
     assert np.all(table.l % 2 == 0)
+    for arr in (table.v, table.h, table.l):
+        arr.setflags(write=False)
+    path._excursions = table
     return table
 
 

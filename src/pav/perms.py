@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange
-from .scaled import ScaledFunction, sup_distance  # re-exported  # noqa: F401
+from .scaled import ScaledFunction, sorted_unique
 
 
 class Permutation:
@@ -166,7 +166,7 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
     limit object.
     """
     n = perm.n
-    a = np.unique(np.asarray(indices, dtype=np.int64))
+    a = sorted_unique(np.asarray(indices, dtype=np.int64).ravel())
     if a.size == 0:
         raise EmptySet("index set must be nonempty")
     if a.min() < 0 or a.max() > n:

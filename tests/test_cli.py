@@ -85,6 +85,11 @@ class TestMap:
         code, _, err = run_cli(["map", "--from", "231", "--to", "dyck", "2 3 1"], capsys=capsys)
         assert code == 1 and "231" in err
 
+    def test_int64_overflow_exit_1(self, capsys):
+        for kind, text in (("231", "99999999999999999999"), ("tree", "0 99999999999999999999")):
+            code, out, err = run_cli(["map", "--from", kind, "--to", "dyck", text], capsys=capsys)
+            assert (code, out) == (1, "") and err.startswith("error: invalid")
+
 
 class TestCheck:
     def test_contains_nonzero_exit(self, capsys):

@@ -212,6 +212,45 @@ class TestExcursions:
                 assert nested or disjoint
 
 
+def excursions_by_stack(path):
+    """Reference (v, h, l): each down-step closes the latest open up-step."""
+    v, close, stack = [], [0] * path.n, []
+    for x, step in enumerate(path.steps.tolist(), start=1):
+        if step == 1:
+            stack.append(len(v))
+            v.append(x)
+        else:
+            close[stack.pop()] = x
+    v = np.array(v, dtype=np.int64)
+    return v, path.heights[v], np.array(close) - v + 1
+
+
+class TestExcursionTable:
+    @given(st.integers(1, 400), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_stack_oracle(self, n, seed):
+        p = random_path(n, seed)
+        et = pav.excursions(p)
+        for got, want in zip((et.v, et.h, et.l), excursions_by_stack(p)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("height", [255, 256, 65_535, 65_536, 70_000])
+    def test_tall_paths_equal_stack_oracle(self, height):
+        # level dtypes switch at these heights (uint8, uint16, uint32)
+        p = pav.from_text("UD" + "U" * height + "D" * height + "UUDD")
+        et = pav.excursions(p)
+        for got, want in zip((et.v, et.h, et.l), excursions_by_stack(p)):
+            assert np.array_equal(got, want)
+
+    def test_cached_and_read_only(self):
+        p = random_path(30, 1)
+        et = pav.excursions(p)
+        assert pav.excursions(p) is et
+        for arr in (et.v, et.h, et.l):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 class TestMaxHeightAndScaling:
     def test_examples(self):
         assert pav.max_height(pav.from_text("UUUDDD")) == 3

@@ -22,8 +22,9 @@ from pav.experiments import (
     se_set,
     _paths_within,
 )
-from pav.perms import inversions
+from pav.perms import exceedance_sets, inversions, scaled_function
 from pav.rng import substream
+from pav.scaled import sup_distance, sup_sum
 
 
 class TestCoupling321:
@@ -39,6 +40,15 @@ class TestCoupling321:
             d_plus, _, d_mirror = coupling_321(pav.from_text("U" * n + "D" * n))
             assert d_plus == pytest.approx(n / math.sqrt(2 * n))
             assert d_mirror == 0.0
+
+    @pytest.mark.parametrize("n,seed", [(1, 0), (7, 1), (300, 2), (2000, 3), (5000, 4)])
+    def test_equals_public_sups_bit_for_bit(self, n, seed):
+        path = pav.sample_uniform(n, substream(seed))
+        g = pav.scaled_path(path)
+        tau = pav.bij321.forward(path)
+        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+        want = (sup_distance(g, f_plus), sup_sum(g, f_minus), sup_sum(f_plus, f_minus))
+        assert coupling_321(path) == want
 
     def test_nonnegative_and_finite(self):
         rng = substream(1)

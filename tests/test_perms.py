@@ -1,6 +1,7 @@
 """Permutation statistics, pattern checks, and scaled exceedance
 functions."""
 
+import math
 from itertools import permutations
 
 import numpy as np
@@ -175,6 +176,13 @@ def pl_function(seed):
     return ScaledFunction(nums, den, rng.normal(size=nums.size))
 
 
+def sup_distance_union1d(f, g):
+    """Reference kernel: the union grid built by np.union1d."""
+    lcm = math.lcm(f.t_den, g.t_den)
+    grid = np.union1d(f.t_num * (lcm // f.t_den), g.t_num * (lcm // g.t_den))
+    return float(np.max(np.abs(f.eval_rational(grid, lcm) - g.eval_rational(grid, lcm))))
+
+
 class TestSupDistance:
     def test_equal_functions(self):
         f = pl_function(1)
@@ -201,6 +209,24 @@ class TestSupDistance:
     def test_triangle(self, s1, s2, s3):
         f, g, h = pl_function(s1), pl_function(s2), pl_function(s3)
         assert sup_distance(f, h) <= sup_distance(f, g) + sup_distance(g, h) + 1e-12
+
+    @given(st.integers(0, 10_000), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_union1d_oracle(self, s1, s2):
+        f, g = pl_function(s1), pl_function(s2)
+        assert sup_distance(f, g) == sup_distance_union1d(f, g)
+
+    @given(st.integers(1, 2000), st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_coupling_functions_equal_union1d_oracle(self, n, seed):
+        path = pav.sample_uniform(n, substream(seed))
+        g = pav.scaled_path(path)
+        tau = pav.bij321.forward(path)
+        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+        sigma = pav.bij231.forward(path)
+        f_se = scaled_function(sigma, pav.experiments.se_set(path, 1.0, 0.4))
+        for f, h in ((g, f_plus), (g, -f_minus), (f_plus, -f_minus), (g, -f_se)):
+            assert sup_distance(f, h) == sup_distance_union1d(f, h)
 
 
 class TestInversionsAndDeficit:
