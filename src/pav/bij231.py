@@ -3,9 +3,9 @@ permutations: sigma(i) = i + l_i/2 - h_i, where (v_i, h_i, l_i) describe
 the excursion opened by the i-th up-step.
 
 Equivalently, reading the path as the contour of an ordered tree,
-sigma(i) = i + |subtree of v_i| - depth(v_i).  The inverse goes through
-that tree: the parent of v_j is the nearest previous index whose sigma
-value is larger, which is exactly the ancestry order of the tree.
+sigma(i) = i + |subtree of v_i| - depth(v_i).  The inverse rebuilds the
+path from its peaks: each length-2 excursion is a peak, and it shows in
+sigma as a weak local minimum of sigma(i) - i.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from .dyck import DyckPath, excursions
-from .errors import IndexOutOfRange, Not231Avoiding
-from .perms import Permutation, avoids_231
-from .trees import OrderedTree, stats, to_contour
+from .errors import IndexOutOfRange, InvalidPath, Not231Avoiding
+from .perms import Permutation
+from .trees import OrderedTree, stats
 
 
 def forward(path: DyckPath) -> Permutation:
@@ -30,75 +30,32 @@ def forward(path: DyckPath) -> Permutation:
 def inverse(perm: Permutation) -> DyckPath:
     """Recover the unique path with sigma_gamma = perm.
 
-    Builds the ordered tree from the ancestry rule (parent = nearest
-    previous larger value, the root if none) and returns its contour.
-    Raises Not231Avoiding when the input contains a 231 pattern.
-    """
-    if not avoids_231(perm):
-        raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
-    return to_contour(ancestry_tree(perm))
-
-
-def ancestry_tree(perm: Permutation) -> OrderedTree:
-    """The ordered tree whose preorder sigma-order matches the perm.
-
-    parent(v_j) = v_i with i = max{i < j : sigma(i) > sigma(j)}, or the
-    root v_0 when no such i exists; children attach in index order.
-    One stack pass, O(n).
-    """
-    sigma = perm.images.tolist()
-    n = len(sigma)
-    parent = np.empty(n + 1, dtype=np.int64)
-    parent[0] = -1
-    stack_label = [0]
-    stack_value = [n + 1]  # sentinel above every sigma value
-    for j, val in enumerate(sigma, start=1):
-        while stack_value[-1] < val:
-            stack_value.pop()
-            stack_label.pop()
-        parent[j] = stack_label[-1]
-        stack_label.append(j)
-        stack_value.append(val)
-    return OrderedTree(parent, validated=True)
-
-
-def inverse_via_peaks(perm: Permutation) -> DyckPath:
-    """Alternative inverse through the path's local maxima (cross-check).
-
     sigma(i) - i has a weak local minimum exactly at the length-2
     excursions, where the path peaks at position 2i - h_i with height
     h_i = 1 - (sigma(i) - i); a Dyck path is determined by its peaks.
-    Fully vectorized; validity is confirmed by mapping forward again.
+    The rebuilt path is mapped forward again, so an input is accepted
+    only if it is an image; every rejection raises Not231Avoiding.
     """
-    sigma = perm.images
     n = perm.n
-    delta = sigma - np.arange(1, n + 1, dtype=np.int64)
+    delta = perm.images - np.arange(1, n + 1, dtype=np.int64)
     is_peak = np.empty(n, dtype=bool)
     is_peak[-1] = True
     is_peak[:-1] = delta[1:] >= delta[:-1]
-    i_pk = np.nonzero(is_peak)[0] + 1
+    i_pk = np.flatnonzero(is_peak) + 1
     h_pk = 1 - delta[i_pk - 1]
-    x_pk = 2 * i_pk - h_pk
-    if h_pk.min() < 1 or np.any(np.diff(x_pk) <= 0) or x_pk[0] != h_pk[0]:
-        raise Not231Avoiding(f"no path has these peaks: {perm}")
-    gaps = x_pk[1:] - x_pk[:-1]
-    valley2 = h_pk[:-1] + h_pk[1:] - gaps
-    if np.any(valley2 < 0) or np.any(valley2 & 1):
-        raise Not231Avoiding(f"no path has these peaks: {perm}")
-    valley = valley2 >> 1
-    if np.any(valley >= h_pk[:-1]) or np.any(valley >= h_pk[1:]):
-        raise Not231Avoiding(f"no path has these peaks: {perm}")
-    ups = np.concatenate(([h_pk[0]], h_pk[1:] - valley))
-    downs = np.concatenate((h_pk[:-1] - valley, [h_pk[-1]]))
-    lengths = np.empty(2 * ups.size, dtype=np.int64)
-    lengths[0::2] = ups
-    lengths[1::2] = downs
-    vals = np.tile(np.array([1, -1], dtype=np.int8), ups.size)
-    steps = np.repeat(vals, lengths)
-    if steps.size != 2 * n:
-        raise Not231Avoiding(f"no path has these peaks: {perm}")
-    path = DyckPath(steps)
-    if forward(path) != perm:
+    # Adjacent peaks (x, h), (x', h') meet at the valley (h + h' - (x' - x)) / 2.
+    valley = (h_pk[:-1] + h_pk[1:] - np.diff(2 * i_pk - h_pk)) >> 1
+    lengths = np.empty(2 * i_pk.size, dtype=np.int64)
+    lengths[0::2] = np.concatenate(([h_pk[0]], h_pk[1:] - valley))  # climbs
+    lengths[1::2] = np.concatenate((h_pk[:-1] - valley, [h_pk[-1]]))  # descents
+    vals = np.tile(np.array([1, -1], dtype=np.int8), i_pk.size)
+    path = None
+    if lengths.min() >= 0:
+        try:
+            path = DyckPath(np.repeat(vals, lengths))
+        except InvalidPath:  # peaks that no Dyck path has
+            pass
+    if path is None or forward(path) != perm:
         raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
     return path
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -47,8 +48,8 @@ def _parse_perm(text: str) -> perms.Permutation:
 
 def _parse_tree(text: str) -> trees.OrderedTree:
     try:
-        parents = [-1] + [int(tok) for tok in text.split()]
-        return trees.OrderedTree(np.array(parents, dtype=np.int64))
+        parents = np.array(["-1", *text.split()], dtype=np.int64)  # int() per token
+        return trees.OrderedTree(parents)
     except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise DataError(f"invalid tree {text!r}: {exc}") from exc
 
@@ -80,7 +81,7 @@ def _from_path(kind: str, path: dyck.DyckPath) -> str:
         return bij231.forward(path).to_text()
     if kind == "tree":
         parent = trees.from_contour(path).parent
-        return " ".join(str(int(p)) for p in parent[1:])
+        return " ".join(map(str, parent[1:].tolist()))
     raise DataError(f"unknown object kind {kind!r}")
 
 
@@ -194,6 +195,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pav",

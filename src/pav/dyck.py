@@ -23,7 +23,7 @@ from .errors import (
 from .rng import as_generator
 from .scaled import ScaledFunction
 
-_STEP_CHARS = {"U": 1, "D": -1}
+_STEP_CHARS = frozenset("UD")
 
 
 class DyckPath:
@@ -42,7 +42,9 @@ class DyckPath:
         elif isinstance(steps, str):
             arr = _steps_from_text(steps)
         else:
-            arr = np.asarray(steps, dtype=np.int8)
+            arr = np.asarray(steps)
+            if arr.dtype.kind not in "iu":
+                raise BadStep(f"steps must be integers, not {arr.dtype}")
         if not validated:
             _check_steps(arr)
         arr = np.ascontiguousarray(arr, dtype=np.int8)
@@ -71,7 +73,8 @@ class DyckPath:
         return self._heights
 
     def to_text(self) -> str:
-        return "".join("U" if s == 1 else "D" for s in self._steps)
+        codes = np.where(self._steps == 1, ord("U"), ord("D"))
+        return codes.astype(np.uint8).tobytes().decode()
 
     def __str__(self):
         return self.to_text()
@@ -92,10 +95,11 @@ class DyckPath:
 
 
 def _steps_from_text(text: str) -> np.ndarray:
-    bad = set(text) - set(_STEP_CHARS)
+    bad = set(text) - _STEP_CHARS
     if bad:
         raise BadStep(f"unexpected step characters: {sorted(bad)!r}")
-    return np.array([_STEP_CHARS[c] for c in text], dtype=np.int8)
+    codes = np.frombuffer(text.encode(), dtype=np.uint8)
+    return np.where(codes == ord("U"), 1, -1).astype(np.int8)
 
 
 def _check_steps(arr: np.ndarray) -> None:

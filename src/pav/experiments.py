@@ -31,7 +31,7 @@ from .perms import (
     scaled_function,
 )
 from .rng import as_generator, substream
-from .scaled import ScaledFunction, sorted_unique, sup_sum
+from .scaled import ScaledFunction, sorted_unique
 from .trees import catalan, expected_hat_xi, subtree_size_limit
 
 THEOREMS = ("thm321", "thm231", "height", "subtree", "random_index", "moments")
@@ -80,6 +80,10 @@ def coupling_231(path: DyckPath, index_set) -> float:
     exceedance over the given index set|.
 
     An empty index set degenerates to the anchor-only zero function.
+
+    Equals sup_sum(scaled_path(path), f) bit for bit: every knot lies on
+    the lattice x/(2n), G's values there are its ordinates, and
+    a - (-b) == a + b in IEEE arithmetic.
     """
     sigma = bij231.forward(path)
     index_set = np.asarray(index_set, dtype=np.int64)
@@ -87,7 +91,9 @@ def coupling_231(path: DyckPath, index_set) -> float:
         f = ScaledFunction(np.array([0, path.n]), path.n, np.zeros(2))
     else:
         f = scaled_function(sigma, index_set)
-    return sup_sum(scaled_path(path), f)
+    g = scaled_path(path)
+    f_lattice = f.eval_rational(np.arange(g.t_den + 1), g.t_den)
+    return float(np.max(np.abs(g.y + f_lattice)))
 
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:

@@ -24,18 +24,24 @@ class Permutation:
         if isinstance(images, Permutation):
             arr = images._images
         elif isinstance(images, str):
-            arr = np.array([int(tok) for tok in images.split()], dtype=np.int64)
+            tokens = images.split()
+            try:
+                arr = np.array(tokens, dtype=np.int64)  # int() per token
+            except OverflowError:  # a malformed token anywhere raises ValueError first
+                arr = np.array([int(tok) for tok in tokens], dtype=np.int64)
         else:
-            arr = np.asarray(images, dtype=np.int64)
+            arr = np.asarray(images)
+            if arr.dtype.kind not in "iu":
+                raise ValueError(f"images must be integers, not {arr.dtype}")
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("need a nonempty 1-d image sequence")
-        seen = np.zeros(arr.size + 1, dtype=bool)
         if arr.min() < 1 or arr.max() > arr.size:
             raise ValueError("images must be a bijection on 1..n")
+        arr = np.ascontiguousarray(arr, dtype=np.int64)
+        seen = np.zeros(arr.size + 1, dtype=bool)
         seen[arr] = True
         if not seen[1:].all():
             raise ValueError("images must be a bijection on 1..n")
-        arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self._images = arr
 
@@ -58,7 +64,7 @@ class Permutation:
         return int(self._images[i - 1])
 
     def to_text(self) -> str:
-        return " ".join(str(int(v)) for v in self._images)
+        return " ".join(map(str, self._images.tolist()))
 
     def __str__(self):
         return self.to_text()

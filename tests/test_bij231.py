@@ -5,12 +5,15 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pav
 from pav import bij231, trees
 from pav.errors import IndexOutOfRange, Not231Avoiding
 from pav.perms import (
     Permutation,
+    avoids_231,
     contains_pattern,
     inversions,
     max_deficit,
@@ -18,6 +21,45 @@ from pav.perms import (
 from pav.rng import substream
 
 P231 = Permutation([2, 3, 1])
+
+
+def ancestry_tree(perm: Permutation) -> trees.OrderedTree:
+    """The ordered tree whose preorder sigma-order matches the perm.
+
+    parent(v_j) = v_i with i = max{i < j : sigma(i) > sigma(j)}, or the
+    root v_0 when no such i exists; children attach in index order.
+    One stack pass, O(n).
+    """
+    sigma = perm.images.tolist()
+    n = len(sigma)
+    parent = np.empty(n + 1, dtype=np.int64)
+    parent[0] = -1
+    stack_label = [0]
+    stack_value = [n + 1]  # sentinel above every sigma value
+    for j, val in enumerate(sigma, start=1):
+        while stack_value[-1] < val:
+            stack_value.pop()
+            stack_label.pop()
+        parent[j] = stack_label[-1]
+        stack_label.append(j)
+        stack_value.append(val)
+    return trees.OrderedTree(parent, validated=True)
+
+
+def tree_route_inverse(perm: Permutation) -> pav.DyckPath:
+    """Oracle for bij231.inverse: the one-stack 231 test, then the contour
+    of the ancestry tree (parent = nearest previous larger value)."""
+    if not avoids_231(perm):
+        raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
+    return trees.to_contour(ancestry_tree(perm))
+
+
+def inverse_outcome(inverse, perm: Permutation):
+    """The path an inverse returns, or the message it rejects with."""
+    try:
+        return inverse(perm)
+    except Not231Avoiding as exc:
+        return str(exc)
 
 
 class TestForward:
@@ -77,7 +119,7 @@ class TestInverse:
         for _ in range(100):
             p = pav.sample_uniform(int(rng.integers(1, 200)), rng)
             sigma = bij231.forward(p)
-            assert bij231.inverse_via_peaks(sigma) == bij231.inverse(sigma) == p
+            assert bij231.inverse(sigma) == tree_route_inverse(sigma) == p
 
     def test_peak_reconstruction_rejects(self):
         for n in range(1, 7):
@@ -85,10 +127,43 @@ class TestInverse:
                 perm = Permutation(images)
                 bad = contains_pattern(perm, P231)
                 try:
-                    bij231.inverse_via_peaks(perm)
+                    bij231.inverse(perm)
                     assert not bad
-                except Not231Avoiding:
+                except Not231Avoiding as exc:
                     assert bad
+                    assert str(exc) == f"input contains a 231 pattern: {perm}"
+
+    @given(st.integers(1, 2000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, n, seed):
+        p = pav.sample_uniform(n, substream(seed))
+        assert bij231.inverse(bij231.forward(p)) == p
+
+    @given(st.integers(2, 300), st.integers(0, 10_000), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_near_avoiders_match_oracle(self, n, seed, data):
+        """One transposition of an image (of positions or of the adjacent
+        values k, k+1) often keeps a valid peak structure, so the rejection
+        falls to the final forward check, which most random permutations
+        never reach."""
+        images = bij231.forward(pav.sample_uniform(n, substream(seed))).images.copy()
+        if data.draw(st.booleans(), label="swap values"):
+            k = data.draw(st.integers(1, n - 1), label="k")
+            i, j = np.flatnonzero((images == k) | (images == k + 1))
+        else:
+            i = data.draw(st.integers(0, n - 1), label="i")
+            j = data.draw(st.integers(0, n - 1), label="j")
+        images[[i, j]] = images[[j, i]]
+        perm = Permutation(images)
+        got = inverse_outcome(bij231.inverse, perm)
+        assert got == inverse_outcome(tree_route_inverse, perm)
+
+    @given(st.permutations(range(1, 9)))
+    @settings(max_examples=150, deadline=None)
+    def test_random_permutations_match_oracle(self, images):
+        perm = Permutation(images)
+        got = inverse_outcome(bij231.inverse, perm)
+        assert got == inverse_outcome(tree_route_inverse, perm)
 
 
 class TestTreeFormula:

@@ -85,6 +85,17 @@ class TestMap:
         code, _, err = run_cli(["map", "--from", "231", "--to", "dyck", "2 3 1"], capsys=capsys)
         assert code == 1 and "231" in err
 
+    def test_rejected_231_lines_name_the_pattern(self, capsys):
+        # "3 1 4 2" fails only the final forward check; the long line is
+        # the identity with values 500 and 503 swapped (501 502 500 is a 231).
+        near = list(range(1, 1001))
+        near[499], near[502] = 503, 500
+        for text in ("2 3 1", "3 1 4 2", " ".join(map(str, near))):
+            code, out, err = run_cli(["map", "--from", "231", "--to", "dyck", text],
+                                     capsys=capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: input contains a 231 pattern: ")
+
     def test_int64_overflow_exit_1(self, capsys):
         for kind, text in (("231", "99999999999999999999"), ("tree", "0 99999999999999999999")):
             code, out, err = run_cli(["map", "--from", kind, "--to", "dyck", text], capsys=capsys)

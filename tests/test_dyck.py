@@ -59,6 +59,15 @@ class TestValidate:
     def test_steps_from_numbers(self):
         assert pav.validate([1, 1, -1, -1]) == pav.from_text("UUDD")
 
+    @pytest.mark.parametrize("steps", [
+        np.array([257, -257]),  # wraps to +1, -1 in int8
+        np.array([1.5, -1.9]),  # truncates to +1, -1
+        np.array([1.0, -1.0]),
+    ])
+    def test_rejects_instead_of_coercing(self, steps):
+        with pytest.raises(BadStep):
+            pav.DyckPath(steps)
+
     def test_empty_path_is_valid(self):
         assert pav.validate("").n == 0
 

@@ -90,6 +90,21 @@ class TestCoupling231:
         p = pav.from_text("UUDD")
         assert coupling_231(p, np.array([], dtype=np.int64)) == pytest.approx(2 / 2)
 
+    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 5), (7, 1), (57, 6), (1000, 2), (5000, 4)])
+    def test_equals_sup_sum_bit_for_bit(self, n, seed):
+        path = pav.sample_uniform(n, substream(seed))
+        g = pav.scaled_path(path)
+        sigma = bij231.forward(path)
+        index_sets = (
+            se_set(path, 1.0, 0.4),
+            random_index_set(n, max(1, n // 3), substream(seed, 1)),
+            np.arange(1, n + 1),
+        )
+        for b in index_sets:
+            assert coupling_231(path, b) == sup_sum(g, scaled_function(sigma, b))
+        zero = pav.ScaledFunction(np.array([0, n]), n, np.zeros(2))
+        assert coupling_231(path, np.array([], dtype=np.int64)) == sup_sum(g, zero)
+
 
 class TestRandomIndexSet:
     def test_empty(self):

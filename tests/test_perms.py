@@ -53,6 +53,19 @@ class TestPermutationType:
         with pytest.raises(ValueError):
             Permutation([])
 
+    @pytest.mark.parametrize("images", [
+        np.array([1.7, 2.2]),  # truncates to 1 2
+        np.array([1.0, 2.0]),
+        np.array([True]),
+    ])
+    def test_rejects_instead_of_coercing(self, images):
+        with pytest.raises(ValueError):
+            Permutation(images)
+
+    def test_accepts_any_integer_dtype(self):
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            assert Permutation(np.array([2, 3, 1], dtype=dtype)).to_text() == "2 3 1"
+
     def test_call_range(self):
         with pytest.raises(IndexOutOfRange):
             Permutation([1])(2)

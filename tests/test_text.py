@@ -1,0 +1,141 @@
+"""Text formats against the per-element parsers and formatters they
+replaced: the same output bytes and the same exception class on random
+lines and on edge tokens."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pav
+from pav import cli, trees
+from pav.errors import BadStep
+from pav.perms import Permutation
+from pav.rng import substream
+
+EDGE_TOKENS = (
+    "+1", "1_0", "١٢", "1.5", "x", "99999999999999999999",
+    "-1", "0", "00012", "1__0", "１", "²",
+)
+EDGE_LINES = (
+    "", " ", "\t", *EDGE_TOKENS, "1 +2", "3 1_0",
+    "2 1 99999999999999999999", "99999999999999999999 1.5",
+)
+STEP_LINES = ("", "UD", "UDX", "ud", "U D", "ÜD", "ＵＤ", "UUDD\n", "DU")
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-element forms
+
+
+def path_to_text_oracle(path):
+    return "".join("U" if s == 1 else "D" for s in path.steps)
+
+
+def path_from_text_oracle(text):
+    bad = set(text) - {"U", "D"}
+    if bad:
+        raise BadStep(f"unexpected step characters: {sorted(bad)!r}")
+    return pav.DyckPath(np.array([{"U": 1, "D": -1}[c] for c in text], dtype=np.int8))
+
+
+def perm_from_text_oracle(text):
+    return Permutation(np.array([int(tok) for tok in text.split()], dtype=np.int64))
+
+
+def perm_to_text_oracle(perm):
+    return " ".join(str(int(v)) for v in perm.images)
+
+
+def tree_from_text_oracle(text):
+    try:
+        parents = [-1] + [int(tok) for tok in text.split()]
+        return trees.OrderedTree(np.array(parents, dtype=np.int64))
+    except (ValueError, OverflowError) as exc:
+        raise cli.DataError(f"invalid tree {text!r}: {exc}") from exc
+
+
+def tree_to_text_oracle(path):
+    return " ".join(str(int(p)) for p in trees.from_contour(path).parent[1:])
+
+
+_DATA = {pav.DyckPath: "steps", Permutation: "images", trees.OrderedTree: "parent"}
+
+
+def outcome(parse, text):
+    """The bytes of the array a parsed object holds, or the class of the
+    exception the parser raised."""
+    try:
+        obj = parse(text)
+    except Exception as exc:  # the class is the observable outcome
+        return type(exc)
+    return getattr(obj, _DATA[type(obj)]).tobytes()
+
+
+tokens = st.one_of(st.sampled_from(EDGE_TOKENS), st.integers(-3, 40).map(str))
+lines = st.one_of(
+    st.lists(tokens, max_size=12).map(" ".join),
+    st.permutations(range(1, 13)).map(lambda p: " ".join(map(str, p))),
+    st.text(max_size=30),
+)
+step_lines = st.one_of(st.text(alphabet="UD", max_size=40), st.text(max_size=20))
+
+
+class TestPathText:
+    @pytest.mark.parametrize("text", STEP_LINES)
+    def test_edge_lines(self, text):
+        assert outcome(pav.from_text, text) == outcome(path_from_text_oracle, text)
+
+    @given(step_lines)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_oracle(self, text):
+        assert outcome(pav.from_text, text) == outcome(path_from_text_oracle, text)
+
+    @given(st.integers(1, 500), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_format_matches_oracle(self, n, seed):
+        path = pav.sample_uniform(n, substream(seed))
+        assert path.to_text().encode() == path_to_text_oracle(path).encode()
+        assert pav.from_text(path.to_text()) == path
+
+    def test_empty_path(self):
+        assert pav.from_text("").to_text() == path_to_text_oracle(pav.from_text("")) == ""
+
+
+class TestPermText:
+    @pytest.mark.parametrize("text", EDGE_LINES)
+    def test_edge_lines(self, text):
+        assert outcome(Permutation, text) == outcome(perm_from_text_oracle, text)
+
+    @given(lines)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_oracle(self, text):
+        assert outcome(Permutation, text) == outcome(perm_from_text_oracle, text)
+
+    @given(st.integers(1, 2000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_format_matches_oracle(self, n, seed):
+        perm = Permutation(substream(seed).permutation(n) + 1)
+        assert perm.to_text().encode() == perm_to_text_oracle(perm).encode()
+        assert Permutation(perm.to_text()) == perm
+
+
+class TestTreeText:
+    """The CLI's tree lines: parent labels of v_1..v_N-1."""
+
+    @pytest.mark.parametrize("text", ("0 1 1", "0 0", "1", "0 2", *EDGE_LINES))
+    def test_edge_lines(self, text):
+        assert outcome(cli._parse_tree, text) == outcome(tree_from_text_oracle, text)
+
+    @given(lines)
+    @settings(max_examples=200, deadline=None)
+    def test_parse_matches_oracle(self, text):
+        assert outcome(cli._parse_tree, text) == outcome(tree_from_text_oracle, text)
+
+    @given(st.integers(1, 500), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_format_matches_oracle(self, n, seed):
+        path = pav.sample_uniform(n, substream(seed))
+        text = cli._from_path("tree", path)
+        assert text.encode() == tree_to_text_oracle(path).encode()
+        assert trees.to_contour(cli._parse_tree(text)) == path
