@@ -21,8 +21,6 @@ from .trees import OrderedTree, stats
 def forward(path: DyckPath) -> Permutation:
     """Map a Dyck path of semilength n >= 1 to its 231-avoiding image."""
     et = excursions(path)
-    if np.any(et.l & 1):
-        raise AssertionError("odd excursion length: corrupted path state")
     sigma = np.arange(1, et.n + 1, dtype=np.int64) + (et.l >> 1) - et.h
     return Permutation(sigma)
 

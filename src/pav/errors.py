@@ -46,7 +46,7 @@ class Not231Avoiding(PavError, ValueError):
 
 
 class NotReconstructible(PavError, RuntimeError):
-    """Internal inconsistency: a reconstructed path failed validation."""
+    """Internal inconsistency: a derived path, table or count failed an invariant check."""
 
 
 class RangeError(PavError, ValueError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,7 +23,7 @@ import numpy as np
 from . import bij231, bij321
 from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform, scaled_path
-from .errors import BadConfig, EmptySample, TooLarge
+from .errors import BadConfig, EmptySample, NotReconstructible, TooLarge
 from .parallel import replicate_map
 from .perms import (
     exceedance_sets,
@@ -50,16 +51,15 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
 
     Each value equals the matching sup_distance / sup_sum call bit for
     bit.  Every knot lies on the lattice x/(2n), x = 0..2n, so the three
-    functions are evaluated there once: G's values are its ordinates,
-    negation is exact, and F_plus + F_minus has its knots at the even
-    points, the union grid of that pair.
+    functions are evaluated there once (ScaledFunction.eval_lattice): G's
+    values are its ordinates, negation is exact, and F_plus + F_minus has
+    its knots at the even points, the union grid of that pair.
     """
     tau = bij321.forward(path)
     g = scaled_path(path)
     e_plus, e_minus = exceedance_sets(tau)
-    lattice = np.arange(g.t_den + 1)
-    f_plus = scaled_function(tau, e_plus).eval_rational(lattice, g.t_den)
-    f_minus = scaled_function(tau, e_minus).eval_rational(lattice, g.t_den)
+    f_plus = scaled_function(tau, e_plus).eval_lattice(g.t_den)
+    f_minus = scaled_function(tau, e_minus).eval_lattice(g.t_den)
     return (
         float(np.max(np.abs(g.y - f_plus))),
         float(np.max(np.abs(g.y + f_minus))),
@@ -82,8 +82,8 @@ def coupling_231(path: DyckPath, index_set) -> float:
     An empty index set degenerates to the anchor-only zero function.
 
     Equals sup_sum(scaled_path(path), f) bit for bit: every knot lies on
-    the lattice x/(2n), G's values there are its ordinates, and
-    a - (-b) == a + b in IEEE arithmetic.
+    the lattice x/(2n), where f is evaluated once (eval_lattice), G's
+    values there are its ordinates, and a - (-b) == a + b in IEEE arithmetic.
     """
     sigma = bij231.forward(path)
     index_set = np.asarray(index_set, dtype=np.int64)
@@ -92,8 +92,7 @@ def coupling_231(path: DyckPath, index_set) -> float:
     else:
         f = scaled_function(sigma, index_set)
     g = scaled_path(path)
-    f_lattice = f.eval_rational(np.arange(g.t_den + 1), g.t_den)
-    return float(np.max(np.abs(g.y + f_lattice)))
+    return float(np.max(np.abs(g.y + f.eval_lattice(g.t_den))))
 
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:
@@ -120,14 +119,14 @@ def height_vs_contour(path: DyckPath) -> float:
 def moment_replicate(n: int, seed) -> tuple[float, float]:
     """(inversions/n^1.5, max height/sqrt(2n)) for one uniform path.
 
-    The pathwise identity max = 1 + max-deficit is asserted on every
+    The pathwise identity max = 1 + max-deficit is checked on every
     draw; a violation would mean corrupted bijection state.
     """
     path = sample_uniform(n, seed)
     sigma = bij231.forward(path)
     m_path = max_height(path)
     if m_path != 1 + max_deficit(sigma):
-        raise AssertionError("max height != 1 + max deficit on a sampled path")
+        raise NotReconstructible("max height != 1 + max deficit on a sampled path")
     return inversions(sigma) / n**1.5, m_path / math.sqrt(2 * n)
 
 
@@ -185,7 +184,8 @@ def exact_moment_oracle(n: int) -> tuple[Fraction, Fraction]:
                 new_counts[y2] = new_counts.get(y2, 0) + cnt
                 new_sums[y2] = new_sums.get(y2, 0) + s + y2 * cnt
         counts, sums = new_counts, new_sums
-    assert counts[0] == c_n
+    if counts[0] != c_n:
+        raise NotReconstructible(f"area DP counts {counts[0]} paths, not C_{n}")
     e_area = Fraction(sums[0], c_n)
 
     # max via strip counts
@@ -195,7 +195,8 @@ def exact_moment_oracle(n: int) -> tuple[Fraction, Fraction]:
         cur = _paths_within(n, h)
         total_max += h * (cur - prev)
         prev = cur
-    assert prev == c_n
+    if prev != c_n:
+        raise NotReconstructible(f"strip counts reach {prev} paths, not C_{n}")
     e_max = Fraction(total_max, c_n)
     return e_area, e_max
 
@@ -239,18 +240,19 @@ class ExperimentConfig:
     def validated(self) -> "ExperimentConfig":
         if self.theorem_id not in THEOREMS:
             raise BadConfig(f"unknown theorem_id {self.theorem_id!r}")
-        grid = tuple(int(v) for v in self.n_grid)
+        grid = tuple(_integer("n_grid", v) for v in self.n_grid)
         if not grid or any(v < 1 for v in grid):
             raise BadConfig("n_grid must be nonempty positive integers")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise BadConfig("n_grid must be strictly increasing")
-        if self.theorem_id != "subtree" and self.replicates < 1:
+        replicates = _integer("replicates", self.replicates)
+        if self.theorem_id != "subtree" and replicates < 1:
             raise BadConfig("replicates must be >= 1")
         return ExperimentConfig(
             theorem_id=self.theorem_id,
             n_grid=grid,
-            replicates=int(self.replicates),
-            seed=int(self.seed),
+            replicates=replicates,
+            seed=_integer("seed", self.seed),
             c=float(self.c),
             alpha=float(self.alpha),
             epsilon=float(self.epsilon),
@@ -270,6 +272,14 @@ class ExperimentConfig:
             "keep_raw": self.keep_raw,
             "output": self.output,
         }
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; a float such as 2.7 is rejected, never truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadConfig(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass

@@ -38,6 +38,8 @@ class Permutation:
         if arr.min() < 1 or arr.max() > arr.size:
             raise ValueError("images must be a bijection on 1..n")
         arr = np.ascontiguousarray(arr, dtype=np.int64)
+        if arr is images or arr.base is not None:  # the caller's memory
+            arr = arr.copy()
         seen = np.zeros(arr.size + 1, dtype=bool)
         seen[arr] = True
         if not seen[1:].all():

@@ -4,7 +4,8 @@ Knot positions are stored as integer numerators over a single shared
 denominator, so knots coming from different grids (x/(2n) for scaled
 paths, a/n for exceedance interpolations) never collide or drift when
 two functions are compared: the union grid is formed in integer
-arithmetic and only the ordinates are floating point.
+arithmetic and only the ordinates are floating point.  On a whole
+lattice x/den, ScaledFunction.eval_lattice evaluates in O(den).
 """
 
 from __future__ import annotations
@@ -59,19 +60,46 @@ class ScaledFunction:
         query that lands exactly on a knot returns the stored ordinate
         bit-for-bit.
         """
-        if den % self.t_den != 0:
-            raise ValueError("den must be a multiple of the knot denominator")
-        scale = den // self.t_den
-        own = self.t_num * scale
+        own = self._knots_over(den)
         nums = np.asarray(nums, dtype=np.int64)
         if np.any(nums < 0) or np.any(nums > den):
             raise ValueError("query points must lie in [0,1]")
         idx = np.searchsorted(own, nums, side="right") - 1
         idx = np.clip(idx, 0, own.size - 2)
-        t0 = own[idx]
-        t1 = own[idx + 1]
-        w = (nums - t0) / (t1 - t0)
-        return self.y[idx] * (1.0 - w) + self.y[idx + 1] * w
+        return self._interpolate(own, idx, nums.astype(np.float64))
+
+    def eval_lattice(self, den: int):
+        """eval_rational(np.arange(den + 1), den), bit for bit, in O(den): the
+        segment of a lattice point is the count of interior knots up to it.
+        """
+        own = self._knots_over(den)
+        idx = np.zeros(den + 1, dtype=np.intp)
+        idx[own[1:-1]] = 1
+        np.cumsum(idx, out=idx)  # x = den lands in the last segment, at w = 1
+        return self._interpolate(own, idx, np.arange(den + 1, dtype=np.float64))
+
+    def _knots_over(self, den: int) -> np.ndarray:
+        if den % self.t_den != 0:
+            raise ValueError("den must be a multiple of the knot denominator")
+        return self.t_num * (den // self.t_den)
+
+    def _interpolate(self, own, idx, x):
+        """y0 * (1 - w) + y1 * w at x[i]/den on segment idx[i]; overwrites x.
+
+        Numerators below 2**53 are exact in float64, so w equals numpy's
+        int64 true-divide bit for bit, without its slow casting loop.
+        """
+        own = own.astype(np.float64)
+        buf = own[idx]
+        w = np.subtract(x, buf, out=x)
+        w /= np.take(np.diff(own), idx, out=buf, mode="clip")  # idx is in range
+        y1 = np.take(self.y[1:], idx, out=buf, mode="clip")
+        y1 *= w
+        np.subtract(1.0, w, out=w)
+        y0 = self.y[idx]
+        y0 *= w
+        y0 += y1
+        return y0
 
     def __repr__(self):
         return f"ScaledFunction({len(self)} knots, den={self.t_den})"

@@ -5,6 +5,8 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pav
 from pav import bij321
@@ -75,6 +77,12 @@ class TestInverse:
         for _ in range(25):
             p = pav.sample_uniform(1000, rng)
             assert bij321.inverse(bij321.forward(p)) == p
+
+    @given(st.integers(1, 2000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, n, seed):
+        p = pav.sample_uniform(n, substream(seed))
+        assert bij321.inverse(bij321.forward(p)) == p
 
 
 class TestExceedanceSign:

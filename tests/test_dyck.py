@@ -76,6 +76,13 @@ class TestValidate:
         with pytest.raises(ValueError):
             p.steps[0] = -1
 
+    @pytest.mark.parametrize("wrap", [lambda a: a, lambda a: a[:], memoryview])
+    def test_caller_array_stays_writable_and_unshared(self, wrap):
+        a = np.array([1, 1, -1, -1], dtype=np.int8)
+        p = pav.DyckPath(wrap(a))
+        a[0] = -1
+        assert p.to_text() == "UUDD"
+
 
 class TestEnumerate:
     def test_n0(self):

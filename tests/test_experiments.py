@@ -196,6 +196,17 @@ class TestHarness:
         with pytest.raises(BadConfig):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("field,value", [
+        ("replicates", 2.7),
+        ("seed", 1.9),
+        ("n_grid", (10.5,)),
+    ])
+    def test_rejects_non_integral_instead_of_truncating(self, field, value):
+        kwargs = dict(theorem_id="thm321", n_grid=(10,), replicates=2, seed=1)
+        kwargs[field] = value
+        with pytest.raises(BadConfig):
+            ExperimentConfig(**kwargs).validated()
+
     def test_report_schema(self):
         cfg = ExperimentConfig(theorem_id="thm321", n_grid=(100,), replicates=3, seed=7)
         report = run_experiment(cfg)

@@ -1,0 +1,62 @@
+"""Internal invariant checks are real checks: they still raise under
+python -O, which strips assert statements."""
+
+import os
+import subprocess
+import sys
+
+import pav
+
+# Each probe corrupts one piece of internal state and expects the check
+# guarding it to raise NotReconstructible.
+SCRIPT = """
+import sys
+import numpy as np
+import pav
+from pav import dyck, experiments
+from pav.errors import NotReconstructible
+
+if sys.flags.optimize < 1:
+    sys.exit("not running under python -O")
+
+
+def expect_raise(name, fn):
+    try:
+        fn()
+    except NotReconstructible:
+        return
+    sys.exit(name + " did not raise NotReconstructible")
+
+
+path = pav.from_text("UUDD")
+path._heights = np.array([0, 1, 1, 0, 0])  # cached profile out of step with the steps
+expect_raise("excursions parity", lambda: pav.excursions(path))
+
+
+class FlatRng:
+    def shuffle(self, arr):
+        arr[:] = 1
+
+
+dyck.as_generator = lambda seed: FlatRng()
+expect_raise("sample_uniform rotation", lambda: pav.sample_uniform(5, 0))
+dyck.as_generator = pav.rng.as_generator
+
+experiments.max_deficit = lambda sigma: -1
+expect_raise("moment identity", lambda: experiments.moment_replicate(50, 1))
+
+experiments.catalan = lambda n: 0
+expect_raise("oracle path count", lambda: experiments.exact_moment_oracle(3))
+print("ok")
+"""
+
+
+def test_checks_survive_optimize_flag():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pav.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"

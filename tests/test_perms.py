@@ -62,6 +62,13 @@ class TestPermutationType:
         with pytest.raises(ValueError):
             Permutation(images)
 
+    @pytest.mark.parametrize("wrap", [lambda a: a, lambda a: a[:], memoryview])
+    def test_caller_array_stays_writable_and_unshared(self, wrap):
+        a = np.array([2, 1, 3])
+        p = Permutation(wrap(a))
+        a[0] = 5
+        assert p.to_text() == "2 1 3"
+
     def test_accepts_any_integer_dtype(self):
         for dtype in (np.int8, np.uint16, np.int32, np.uint64):
             assert Permutation(np.array([2, 3, 1], dtype=dtype)).to_text() == "2 3 1"
@@ -179,6 +186,51 @@ class TestScaledFunction:
         f = scaled_function(perm, plus)
         again = f.eval_rational(f.t_num, f.t_den)
         assert np.array_equal(again, f.y)
+
+
+def eval_rational_int_divide(f, nums, den):
+    """Reference kernel: weights by numpy's int64 true-divide."""
+    own = f.t_num * (den // f.t_den)
+    idx = np.clip(np.searchsorted(own, nums, side="right") - 1, 0, own.size - 2)
+    w = (nums - own[idx]) / (own[idx + 1] - own[idx])
+    return f.y[idx] * (1.0 - w) + f.y[idx + 1] * w
+
+
+@st.composite
+def knot_functions(draw):
+    """Random ScaledFunctions: 2-knot functions and long single segments
+    included, ordinates zero, negative or positive."""
+    t_den = draw(st.one_of(st.integers(1, 300), st.integers(10_000, 100_000)))
+    interior = draw(st.sets(st.integers(1, max(1, t_den - 1)), max_size=60))
+    t_num = np.array([0, *sorted(interior - {t_den}), t_den])
+    ordinate = st.one_of(st.just(0.0), st.floats(-1e9, 1e9))
+    y = draw(st.lists(ordinate, min_size=t_num.size, max_size=t_num.size))
+    return ScaledFunction(t_num, t_den, y)
+
+
+class TestEvalLattice:
+    @given(knot_functions(), st.sampled_from([1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_eval_rational_bytes(self, f, mult):
+        den = f.t_den * mult
+        got = f.eval_lattice(den).tobytes()
+        lattice = np.arange(den + 1)
+        assert got == f.eval_rational(lattice, den).tobytes()
+        assert got == eval_rational_int_divide(f, lattice, den).tobytes()
+
+    def test_single_long_segment(self):
+        f = ScaledFunction([0, 100_000], 100_000, [-2.5, 0.0])
+        for den in (100_000, 300_000):
+            got = f.eval_lattice(den)
+            assert got[0] == -2.5 and got[-1] == 0.0
+            assert got.tobytes() == f.eval_rational(np.arange(den + 1), den).tobytes()
+
+    def test_den_not_a_multiple(self):
+        f = ScaledFunction([0, 2, 3], 3, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="multiple"):
+            f.eval_lattice(4)
+        with pytest.raises(ValueError, match="multiple"):
+            f.eval_rational([0, 4], 4)
 
 
 def pl_function(seed):

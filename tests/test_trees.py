@@ -50,6 +50,12 @@ class TestContour:
             # tree -> tree the other way round as well
             assert trees.from_contour(trees.to_contour(t)) == t
 
+    @given(st.integers(1, 2000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_roundtrip_property(self, n, seed):
+        p = pav.sample_uniform(n, substream(seed))
+        assert trees.to_contour(trees.from_contour(p)) == p
+
     def test_heights_match_path(self):
         p = pav.sample_uniform(500, 9)
         t = trees.from_contour(p)
