@@ -22,7 +22,6 @@ from . import bij231, bij321, dyck, perms, trees
 from ._version import __version__
 from .errors import PavError
 from .experiments import ExperimentConfig, run_experiment
-from .parallel import effective_workers
 from .petrov import check_petrov, check_voucher, petrov_frequency
 from .rng import substream
 from .trees import expected_hat_xi, expected_xi, subtree_size_limit
@@ -58,15 +57,9 @@ def _to_path(kind: str, text: str) -> dyck.DyckPath:
     if kind == "dyck":
         return _parse_path(text)
     if kind == "321":
-        try:
-            return bij321.inverse(_parse_perm(text))
-        except PavError as exc:
-            raise DataError(str(exc)) from exc
+        return bij321.inverse(_parse_perm(text))  # main() reports a PavError
     if kind == "231":
-        try:
-            return bij231.inverse(_parse_perm(text))
-        except PavError as exc:
-            raise DataError(str(exc)) from exc
+        return bij231.inverse(_parse_perm(text))
     if kind == "tree":
         return trees.to_contour(_parse_tree(text))
     raise DataError(f"unknown object kind {kind!r}")
@@ -97,6 +90,8 @@ def _inputs(args) -> list[str]:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise DataError(f"--count must be >= 0, not {args.count}")
     for k in range(args.count):
         path = dyck.sample_uniform(args.n, substream(args.seed, k))
         print(_from_path(getattr(args, "as"), path))
@@ -158,8 +153,7 @@ def _cmd_petrov(args) -> int:
     if args.replicates is not None:
         if args.n is None:
             raise DataError("--n is required with --replicates")
-        out = petrov_frequency(args.n, args.replicates, args.seed,
-                               workers=effective_workers(args.threads))
+        out = petrov_frequency(args.n, args.replicates, args.seed, workers=args.threads)
         print(json.dumps(out, sort_keys=True))
         return 0
     for text in _inputs(args):
@@ -181,15 +175,12 @@ def _cmd_experiment(args) -> int:
         alpha=args.alpha,
         epsilon=args.epsilon,
         keep_raw=args.keep_raw is not None,
-        output=args.out,
     )
-    report = run_experiment(config, workers=effective_workers(args.threads))
-    text = report.to_json(include_timing=not args.no_timing)
+    report = run_experiment(config, workers=args.threads)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        report.save(args.out, include_timing=not args.no_timing)
     else:
-        print(text)
+        print(report.to_json(include_timing=not args.no_timing))
     if args.keep_raw:
         report.save_raw_csv(args.keep_raw)
     return 0

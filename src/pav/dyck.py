@@ -22,7 +22,7 @@ from .errors import (
     TooLarge,
 )
 from .rng import as_generator
-from .scaled import ScaledFunction
+from .scaled import ScaledFunction, owned_array
 
 _STEP_CHARS = frozenset("UD")
 
@@ -48,9 +48,7 @@ class DyckPath:
                 raise BadStep(f"steps must be integers, not {arr.dtype}")
         if not validated:
             _check_steps(arr)
-        arr = np.ascontiguousarray(arr, dtype=np.int8)
-        if arr is steps or arr.base is not None:  # the caller's memory
-            arr = arr.copy()
+        arr = owned_array(arr, steps, np.int8)
         arr.setflags(write=False)
         self._steps = arr
         self._heights = None
@@ -349,4 +347,5 @@ def scaled_path(path: DyckPath) -> ScaledFunction:
         np.arange(two_n + 1, dtype=np.int64),
         two_n,
         path.heights / np.sqrt(two_n),
+        copy=False,
     )

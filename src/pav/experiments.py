@@ -11,6 +11,8 @@ the acceptance tests, never through library code.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import math
 import operator
@@ -23,19 +25,18 @@ import numpy as np
 from . import bij231, bij321
 from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform, scaled_path
-from .errors import BadConfig, EmptySample, NotReconstructible, TooLarge
-from .parallel import replicate_map
+from .errors import BadConfig, NotReconstructible, TooLarge
+from .parallel import effective_workers, replicate_map
 from .perms import (
     exceedance_sets,
     inversions,
     max_deficit,
     scaled_function,
 )
+from .petrov import check_petrov
 from .rng import as_generator, substream
 from .scaled import ScaledFunction, sorted_unique
 from .trees import catalan, expected_hat_xi, subtree_size_limit
-
-THEOREMS = ("thm321", "thm231", "height", "subtree", "random_index", "moments")
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +131,6 @@ def moment_replicate(n: int, seed) -> tuple[float, float]:
     return inversions(sigma) / n**1.5, m_path / math.sqrt(2 * n)
 
 
-def _moment_item(args):
-    n, seed, r = args
-    return moment_replicate(n, substream(seed, n, r))
-
-
-def moment_experiments(n: int, replicates: int, seed: int, workers: int = 1) -> dict:
-    """Estimate the scaled inversion count and scaled maximum over
-    uniform paths of semilength n."""
-    if replicates < 1:
-        raise EmptySample("replicates must be >= 1")
-    rows = replicate_map(_moment_item, [(n, seed, r) for r in range(replicates)], workers)
-    arr = np.asarray(rows, dtype=np.float64)
-    return {
-        "n": n,
-        "replicates": replicates,
-        "inversions_scaled": arr[:, 0],
-        "max_scaled": arr[:, 1],
-        "mean_inversions_scaled": float(arr[:, 0].mean()),
-        "mean_max_scaled": float(arr[:, 1].mean()),
-    }
-
-
 ORACLE_LIMIT = 256
 
 
@@ -223,6 +202,44 @@ def _paths_within(n: int, h: int) -> int:
 # experiment harness
 
 
+def _thm231(n: int, stream, cfg) -> dict[str, float]:
+    path = sample_uniform(n, stream)
+    b = se_set(path, cfg.c, cfg.alpha)
+    return {
+        "coupling": coupling_231(path, b),
+        "excluded_count": float(n - b.size),
+        "se_large": 1.0 if b.size > n - n ** (0.75 + cfg.epsilon) else 0.0,
+    }
+
+
+def _random_index(n: int, stream, cfg) -> dict[str, float]:
+    path = sample_uniform(n, stream)
+    b = random_index_set(n, max(1, int(cfg.c * n**cfg.alpha)), stream)
+    return {"coupling": coupling_231(path, b), "index_count": float(b.size)}
+
+
+def _petrov(n: int, stream, cfg) -> dict[str, float]:
+    report = check_petrov(sample_uniform(n, stream))  # means of pass indicators: frequencies
+    out = {f"cond_{k}": float(getattr(report, f"cond_{k}")) for k in "abcd"}
+    out["all_hold"] = float(report.all_hold)
+    return out
+
+
+# theorem id -> (n, substream, config) -> statistics; workers look it up by id
+REPLICATES = {
+    "thm321": lambda n, stream, cfg: dict(zip(
+        ("d_plus", "d_minus", "d_mirror"), coupling_321(sample_uniform(n, stream)))),
+    "thm231": _thm231,
+    "random_index": _random_index,
+    "height": lambda n, stream, cfg: {
+        "height_vs_contour": height_vs_contour(sample_uniform(n, stream))},
+    "moments": lambda n, stream, cfg: dict(zip(
+        ("inversions_scaled", "max_scaled"), moment_replicate(n, stream))),
+    "petrov": _petrov,
+}
+THEOREMS = (*REPLICATES, "subtree")  # subtree is exact: no replicates
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one experiment run."""
@@ -235,7 +252,6 @@ class ExperimentConfig:
     alpha: float = 0.4
     epsilon: float = 0.05
     keep_raw: bool = False
-    output: str | None = None
 
     def validated(self) -> "ExperimentConfig":
         if self.theorem_id not in THEOREMS:
@@ -248,30 +264,11 @@ class ExperimentConfig:
         replicates = _integer("replicates", self.replicates)
         if self.theorem_id != "subtree" and replicates < 1:
             raise BadConfig("replicates must be >= 1")
-        return ExperimentConfig(
-            theorem_id=self.theorem_id,
-            n_grid=grid,
-            replicates=replicates,
-            seed=_integer("seed", self.seed),
-            c=float(self.c),
-            alpha=float(self.alpha),
-            epsilon=float(self.epsilon),
+        return dataclasses.replace(
+            self, n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
+            c=float(self.c), alpha=float(self.alpha), epsilon=float(self.epsilon),
             keep_raw=bool(self.keep_raw),
-            output=self.output,
         )
-
-    def as_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "n_grid": list(self.n_grid),
-            "replicates": self.replicates,
-            "seed": self.seed,
-            "c": self.c,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "keep_raw": self.keep_raw,
-            "output": self.output,
-        }
 
 
 def _integer(name: str, value) -> int:
@@ -301,7 +298,7 @@ class ExperimentReport:
 
     def as_dict(self, include_timing: bool = True) -> dict:
         return {
-            "config": self.config.as_dict(),
+            "config": dataclasses.asdict(self.config),
             "results": self.results,
             "meta": {
                 "seed": self.config.seed,
@@ -325,34 +322,9 @@ class ExperimentReport:
                 fh.write(f"{n},{r},{stat},{val!r}\n")
 
 
-def _replicate_statistics(args) -> dict[str, float]:
-    theorem_id, n, seed, r, c, alpha, epsilon = args
-    stream = substream(seed, n, r)
-    if theorem_id == "thm321":
-        path = sample_uniform(n, stream)
-        d_plus, d_minus, d_mirror = coupling_321(path)
-        return {"d_plus": d_plus, "d_minus": d_minus, "d_mirror": d_mirror}
-    if theorem_id == "thm231":
-        path = sample_uniform(n, stream)
-        b = se_set(path, c, alpha)
-        large = 1.0 if b.size > n - n ** (0.75 + epsilon) else 0.0
-        return {
-            "coupling": coupling_231(path, b),
-            "excluded_count": float(n - b.size),
-            "se_large": large,
-        }
-    if theorem_id == "random_index":
-        path = sample_uniform(n, stream)
-        count = max(1, int(c * n**alpha))
-        b = random_index_set(n, count, stream)
-        return {"coupling": coupling_231(path, b), "index_count": float(b.size)}
-    if theorem_id == "height":
-        path = sample_uniform(n, stream)
-        return {"height_vs_contour": height_vs_contour(path)}
-    if theorem_id == "moments":
-        inv_scaled, max_scaled = moment_replicate(n, stream)
-        return {"inversions_scaled": inv_scaled, "max_scaled": max_scaled}
-    raise BadConfig(f"unknown theorem_id {theorem_id!r}")
+def _replicate(config: ExperimentConfig, item) -> dict[str, float]:
+    n, r = item
+    return REPLICATES[config.theorem_id](n, substream(config.seed, n, r), config)
 
 
 def _subtree_rows(config: ExperimentConfig) -> list:
@@ -390,32 +362,27 @@ def _aggregate_row(n: int, statistic: str, values) -> dict:
 def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> ExperimentReport:
     """Run the configured experiment over n_grid x replicates.
 
-    Replicates run in parallel (deterministic per-replicate substreams,
-    aggregation in replicate order), so the report content is identical
-    at any worker count; wall_seconds is the only volatile field.
+    Replicates run in one process pool per run (deterministic per-replicate
+    substreams, aggregation in replicate order), so the report content is
+    identical at any worker count; wall_seconds is the only volatile field.
     """
     config = config.validated()
+    workers = effective_workers(workers)
     start = time.perf_counter()
     report = ExperimentReport(config=config)
 
     if config.theorem_id == "subtree":
         report.results = _subtree_rows(config)
-        report.wall_seconds = time.perf_counter() - start
-        return report
-
-    for n in config.n_grid:
-        items = [
-            (config.theorem_id, n, config.seed, r, config.c, config.alpha, config.epsilon)
-            for r in range(config.replicates)
-        ]
-        per_rep = replicate_map(_replicate_statistics, items, workers)
-        stats_names = sorted(per_rep[0].keys())
-        for stat in stats_names:
-            values = [d[stat] for d in per_rep]
-            report.results.append(_aggregate_row(n, stat, values))
-            if config.keep_raw:
-                report.raw.extend(
-                    (n, r, stat, float(v)) for r, v in enumerate(values)
-                )
+    else:
+        reps = config.replicates
+        items = [(n, r) for n in config.n_grid for r in range(reps)]
+        per_rep = replicate_map(functools.partial(_replicate, config), items, workers)
+        for i, n in enumerate(config.n_grid):
+            block = per_rep[i * reps:(i + 1) * reps]
+            for stat in sorted(block[0]):
+                values = [d[stat] for d in block]
+                report.results.append(_aggregate_row(n, stat, values))
+                if config.keep_raw:
+                    report.raw.extend((n, r, stat, float(v)) for r, v in enumerate(values))
     report.wall_seconds = time.perf_counter() - start
     return report

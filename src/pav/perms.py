@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange
-from .scaled import ScaledFunction, sorted_unique
+from .scaled import ScaledFunction, owned_array, sorted_unique
 
 
 class Permutation:
@@ -37,9 +37,7 @@ class Permutation:
             raise ValueError("need a nonempty 1-d image sequence")
         if arr.min() < 1 or arr.max() > arr.size:
             raise ValueError("images must be a bijection on 1..n")
-        arr = np.ascontiguousarray(arr, dtype=np.int64)
-        if arr is images or arr.base is not None:  # the caller's memory
-            arr = arr.copy()
+        arr = owned_array(arr, images, np.int64)
         seen = np.zeros(arr.size + 1, dtype=bool)
         seen[arr] = True
         if not seen[1:].all():
@@ -187,7 +185,7 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
     if a[-1] != n:
         a = np.concatenate((a, [n]))
         y = np.concatenate((y, [0.0]))
-    return ScaledFunction(a, n, y)
+    return ScaledFunction(a, n, y, copy=False)
 
 
 def inversions(perm: Permutation) -> int:
@@ -226,11 +224,6 @@ def _brute_count(a: np.ndarray) -> int:
             _triu_cache[a.size] = pair
     i, j = pair
     return int(np.sum(a[i] > a[j]))
-
-
-def inversions_bruteforce(perm: Permutation) -> int:
-    """O(n^2) oracle for inversions."""
-    return _brute_count(perm.images)
 
 
 def max_deficit(perm: Permutation) -> int:

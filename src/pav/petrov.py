@@ -22,10 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyck import DyckPath, runs, sample_uniform
+from .dyck import DyckPath, runs
 from .errors import EmptySample
-from .parallel import replicate_map
-from .rng import substream
 
 _I64_MIN = np.iinfo(np.int64).min
 _I64_MAX = np.iinfo(np.int64).max
@@ -489,38 +487,21 @@ def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> 
 # Monte Carlo frequency diagnostic
 
 
-def _frequency_replicate(args):
-    n, seed, r = args
-    report = check_petrov(sample_uniform(n, substream(seed, n, r)))
-    return (
-        report.cond_a,
-        report.cond_b,
-        report.cond_c,
-        report.cond_d,
-        report.all_hold,
-    )
-
-
 def petrov_frequency(n: int, replicates: int, seed: int, workers: int = 1) -> dict:
     """Fraction of uniform paths of semilength n passing all conditions,
-    with per-condition failure rates.
+    with per-condition failure rates: the "petrov" experiment's means.
 
     Deterministic given (n, replicates, seed) regardless of workers.
     """
+    from .experiments import ExperimentConfig, run_experiment  # it imports this module
+
     if replicates < 1:
         raise EmptySample("replicates must be >= 1")
-    rows = replicate_map(
-        _frequency_replicate, [(n, seed, r) for r in range(replicates)], workers
-    )
-    arr = np.array(rows, dtype=bool)
+    config = ExperimentConfig(theorem_id="petrov", n_grid=(n,), replicates=replicates, seed=seed)
+    mean = {row["statistic"]: row["mean"] for row in run_experiment(config, workers).results}
     return {
         "n": n,
         "replicates": replicates,
-        "frequency_all": float(arr[:, 4].mean()),
-        "failure_rate": {
-            "a": float(1.0 - arr[:, 0].mean()),
-            "b": float(1.0 - arr[:, 1].mean()),
-            "c": float(1.0 - arr[:, 2].mean()),
-            "d": float(1.0 - arr[:, 3].mean()),
-        },
+        "frequency_all": mean["all_hold"],
+        "failure_rate": {k: 1.0 - mean[f"cond_{k}"] for k in "abcd"},
     }

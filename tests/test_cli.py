@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pav.cli import main
 
 FIG5_IMAGE = "2 1 6 3 10 4 5 7 8 9"
@@ -46,6 +48,10 @@ class TestSample:
             ["check", "--pattern", "231"], stdin_text=out, capsys=capsys
         )
         assert code2 == 0 and out2 == out
+
+    def test_negative_count_exit_1(self, capsys):
+        code, out, err = run_cli(["sample", "--n", "3", "--count", "-2"], capsys=capsys)
+        assert code == 1 and out == "" and err.startswith("error:")
 
 
 class TestMap:
@@ -148,6 +154,12 @@ class TestPetrovCmd:
         payload = json.loads(out)
         assert payload["frequency_all"] == 0.0
 
+    def test_bad_threads_exit_1(self, capsys):
+        code, out, err = run_cli(
+            ["petrov", "--n", "10", "--replicates", "2", "--threads", "0"], capsys=capsys
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+
 
 class TestExperimentCmd:
     def test_schema_and_determinism(self, capsys, tmp_path):
@@ -180,6 +192,31 @@ class TestExperimentCmd:
             ["experiment", "--theorem", "bogus", "--n-grid", "10"], capsys=capsys
         )
         assert code == 1 and "theorem" in err
+
+    @pytest.mark.parametrize("threads", ["0", "-4"])
+    def test_bad_threads_exit_1(self, capsys, threads):
+        code, out, err = run_cli(
+            ["experiment", "--theorem", "height", "--n-grid", "10", "--threads", threads],
+            capsys=capsys,
+        )
+        assert code == 1 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("env", ["0", "abc"])
+    def test_bad_env_threads_exit_1(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("PAV_THREADS", env)
+        code, out, err = run_cli(
+            ["experiment", "--theorem", "subtree", "--n-grid", "10"], capsys=capsys
+        )
+        assert code == 1 and out == "" and err.startswith("error:") and "PAV_THREADS" in err
+
+    def test_out_file_bytes_equal_stdout(self, capsys, tmp_path):
+        args = ["experiment", "--theorem", "height", "--n-grid", "20", "--replicates", "2",
+                "--no-timing"]
+        _, out, _ = run_cli(args, capsys=capsys)
+        out_file = tmp_path / "report.json"
+        run_cli([*args, "--out", str(out_file)], capsys=capsys)
+        assert out_file.read_text() == out
+        assert "output" not in json.loads(out)["config"]
 
 
 class TestProcessLevel:

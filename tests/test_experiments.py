@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import pav
-from pav import bij231
-from pav.errors import BadConfig, EmptySample, TooLarge
+from pav import bij231, parallel
+from pav.errors import BadConfig, TooLarge
 from pav.experiments import (
+    REPLICATES,
     ExperimentConfig,
     coupling_231,
     coupling_321,
     exact_moment_oracle,
     height_vs_contour,
-    moment_experiments,
+    moment_replicate,
     random_index_set,
     run_experiment,
     se_set,
@@ -168,13 +169,19 @@ class TestMoments:
         assert np.mean(vals) == 0.5
 
     def test_identity_enforced_each_replicate(self):
-        out = moment_experiments(200, 10, seed=3)
-        assert out["inversions_scaled"].shape == (10,)
-        assert out["mean_max_scaled"] > 0
+        cfg = ExperimentConfig(theorem_id="moments", n_grid=(200,), replicates=10, seed=3,
+                               keep_raw=True)
+        report = run_experiment(cfg)
+        raw = {(r, stat): v for (_, r, stat, v) in report.raw}
+        for r in range(10):
+            inv, mx = moment_replicate(200, substream(3, 200, r))
+            assert raw[r, "inversions_scaled"] == inv and raw[r, "max_scaled"] == mx
+        assert report.rows(statistic="max_scaled")[0]["mean"] > 0
 
     def test_empty(self):
-        with pytest.raises(EmptySample):
-            moment_experiments(100, 0, seed=1)
+        cfg = ExperimentConfig(theorem_id="moments", n_grid=(100,), replicates=0, seed=1)
+        with pytest.raises(BadConfig):
+            run_experiment(cfg)
 
 
 class TestHarness:
@@ -272,3 +279,84 @@ class TestHarness:
         report = run_experiment(cfg)
         stats = {r["statistic"] for r in report.results}
         assert stats == {"coupling", "excluded_count", "se_large"}
+
+
+class _RecordingPool:
+    """Serial stand-in for ProcessPoolExecutor that records each pool size."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
+    return _RecordingPool
+
+
+class TestPool:
+    @pytest.mark.parametrize("cpus,workers,n_items,size", [
+        (3, 8, 10, 3),
+        (8, 2, 10, 2),
+        (8, 8, 5, 5),
+        (8, 8, 1, None),
+        (1, 4, 10, None),
+    ])
+    def test_pool_size_clamped(self, monkeypatch, recording_pool, cpus, workers, n_items, size):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: 64)  # the host, not this process
+        out = parallel.replicate_map(abs, range(-n_items, 0), workers)
+        assert out == list(range(n_items, 0, -1))
+        assert recording_pool.sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize("cpus,size", [(3, 3), (None, None)])
+    def test_cpu_count_without_affinity(self, monkeypatch, recording_pool, cpus, size):
+        monkeypatch.delattr(parallel.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(parallel.os, "cpu_count", lambda: cpus)
+        assert parallel.replicate_map(abs, range(-10, 0), 8) == list(range(10, 0, -1))
+        assert recording_pool.sizes == ([] if size is None else [size])
+
+    @pytest.mark.parametrize("workers", [0, -4, 2.5, 2.0, "2"])
+    def test_rejects_worker_count(self, workers):
+        with pytest.raises(BadConfig, match="--threads/PAV_THREADS"):
+            parallel.replicate_map(abs, range(3), workers)
+        cfg = ExperimentConfig(theorem_id="subtree", n_grid=(10,), replicates=1, seed=0)
+        with pytest.raises(BadConfig):
+            run_experiment(cfg, workers=workers)
+
+    @pytest.mark.parametrize("env", ["0", "-1", "abc", "2.5"])
+    def test_rejects_env_worker_count(self, monkeypatch, env):
+        monkeypatch.setenv("PAV_THREADS", env)
+        with pytest.raises(BadConfig, match="PAV_THREADS"):
+            parallel.effective_workers(None)
+
+    @pytest.mark.parametrize("env,workers", [("", 1), (" 3 ", 3)])
+    def test_env_worker_count(self, monkeypatch, env, workers):
+        monkeypatch.setenv("PAV_THREADS", env)
+        assert parallel.effective_workers(None) == workers
+
+    def test_one_pool_per_grid(self, monkeypatch, recording_pool):
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(4)))
+        cfg = ExperimentConfig(theorem_id="height", n_grid=(10, 20, 30), replicates=3, seed=2)
+        pooled = run_experiment(cfg, workers=4).to_json(include_timing=False)
+        assert recording_pool.sizes == [4]
+        assert pooled == run_experiment(cfg, workers=1).to_json(include_timing=False)
+
+
+@pytest.mark.parametrize("theorem", sorted(REPLICATES))
+def test_registry_bytes_equal_across_workers(theorem):
+    cfg = ExperimentConfig(theorem_id=theorem, n_grid=(20,), replicates=2, seed=11)
+    one = run_experiment(cfg, workers=1).to_json(include_timing=False)
+    assert run_experiment(cfg, workers=2).to_json(include_timing=False) == one

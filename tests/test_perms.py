@@ -20,7 +20,6 @@ from pav.perms import (
     exceedance_process,
     exceedance_sets,
     inversions,
-    inversions_bruteforce,
     max_deficit,
     scaled_function,
 )
@@ -68,6 +67,15 @@ class TestPermutationType:
         p = Permutation(wrap(a))
         a[0] = 5
         assert p.to_text() == "2 1 3"
+
+    def test_copy_false_adopts_fresh_arrays_but_not_views(self):
+        t, y = np.array([0, 3]), np.array([0.0, 1.0])
+        f = ScaledFunction(t, 3, y, copy=False)
+        assert f.t_num is t and f.y is y and not t.flags.writeable
+        t, y = np.array([0, 3, 9]), np.array([0.0, 1.0, 2.0])
+        g = ScaledFunction(t[:2], 3, y[:2], copy=False)
+        t[0], y[0] = 1, 5.0
+        assert g.t_num.tolist() == [0, 3] and g.y.tolist() == [0.0, 1.0]
 
     def test_accepts_any_integer_dtype(self):
         for dtype in (np.int8, np.uint16, np.int32, np.uint64):
@@ -233,6 +241,40 @@ class TestEvalLattice:
             f.eval_rational([0, 4], 4)
 
 
+class TestScaledFunctionConstructor:
+    @pytest.mark.parametrize("t_num,t_den", [
+        ([0, 1.7, 3], 3),  # the knot 1.7 truncates to 1
+        (np.array([0.0, 3.0]), 3),
+        (np.array([False, True]), 1),
+        ([0, 3], 3.0),
+        ([0, 3], 2.9),
+    ])
+    def test_rejects_instead_of_coercing(self, t_num, t_den):
+        with pytest.raises(ValueError):
+            ScaledFunction(t_num, t_den, np.zeros(len(t_num)))
+
+    @pytest.mark.parametrize("wrap", [lambda a: a, lambda a: a[:], memoryview])
+    def test_caller_arrays_stay_writable_and_unshared(self, wrap):
+        t, y = np.array([0, 3]), np.array([0.0, 1.0])
+        f = ScaledFunction(wrap(t), 3, wrap(y))
+        t[0], y[0] = 1, 5.0
+        assert f.t_num.tolist() == [0, 3] and f.y.tolist() == [0.0, 1.0]
+
+    def test_copy_false_adopts_fresh_arrays_but_not_views(self):
+        t, y = np.array([0, 3]), np.array([0.0, 1.0])
+        f = ScaledFunction(t, 3, y, copy=False)
+        assert f.t_num is t and f.y is y and not t.flags.writeable
+        t, y = np.array([0, 3, 9]), np.array([0.0, 1.0, 2.0])
+        g = ScaledFunction(t[:2], 3, y[:2], copy=False)
+        t[0], y[0] = 1, 5.0
+        assert g.t_num.tolist() == [0, 3] and g.y.tolist() == [0.0, 1.0]
+
+    def test_accepts_any_integer_dtype(self):
+        for dtype in (np.int8, np.uint16, np.int32, np.uint64):
+            f = ScaledFunction(np.array([0, 2, 3], dtype=dtype), np.int64(3), [0.0, 1.0, 0.0])
+            assert f.t_num.dtype == np.int64 and f.t_den == 3 and type(f.t_den) is int
+
+
 def pl_function(seed):
     rng = substream(seed)
     den = int(rng.integers(1, 30))
@@ -292,6 +334,13 @@ class TestSupDistance:
         f_se = scaled_function(sigma, pav.experiments.se_set(path, 1.0, 0.4))
         for f, h in ((g, f_plus), (g, -f_minus), (f_plus, -f_minus), (g, -f_se)):
             assert sup_distance(f, h) == sup_distance_union1d(f, h)
+
+
+def inversions_bruteforce(perm: Permutation) -> int:
+    """O(n^2) oracle for inversions: every pair compared."""
+    a = perm.images
+    i, j = np.triu_indices(a.size, k=1)
+    return int(np.sum(a[i] > a[j]))
 
 
 class TestInversionsAndDeficit:

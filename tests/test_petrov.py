@@ -161,6 +161,17 @@ class TestFrequency:
         with pytest.raises(EmptySample):
             petrov_frequency(100, 0, seed=1)
 
+    @pytest.mark.parametrize("n,replicates,seed", [(5, 40, 3), (8, 25, 0)])
+    def test_matches_direct_checks(self, n, replicates, seed):
+        rows = np.array([
+            conditions(check_petrov(pav.sample_uniform(n, substream(seed, n, r))))
+            for r in range(replicates)
+        ])
+        out = petrov_frequency(n, replicates, seed, workers=2)
+        assert out["frequency_all"] == rows.all(axis=1).mean()
+        assert out["failure_rate"] == {k: 1.0 - rows[:, i].mean() for i, k in enumerate("abcd")}
+        assert 0.0 < out["failure_rate"]["d"] < 1.0  # the sizes give fractional rates
+
     def test_trend_nondecreasing_at_desk_scale(self):
         freqs = [petrov_frequency(n, 10, seed=2)["frequency_all"] for n in (100, 1000)]
         assert freqs == sorted(freqs)  # all zeros here; larger n is out of reach
