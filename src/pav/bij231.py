@@ -64,23 +64,3 @@ def tree_formula(tree: OrderedTree, i: int) -> int:
         raise IndexOutOfRange(f"i={i} outside 1..{tree.size - 1}")
     st = stats(tree)
     return i + int(st.fringe_sizes[i]) - int(st.heights[i])
-
-
-def check_order_structure(path: DyckPath, pair_limit: int = 4000) -> bool:
-    """Verify the excursion-order dichotomy pairwise.
-
-    For i < j: Exc(j) nested in Exc(i) iff j - i < l_i/2, and then
-    sigma(j) < sigma(i); disjoint excursions give sigma(i) < sigma(j).
-    Quadratic in n, guarded by pair_limit.
-    """
-    n = path.n
-    if n > pair_limit:
-        raise ValueError(f"n={n} exceeds the O(n^2) guard {pair_limit}")
-    et = excursions(path)
-    sigma = forward(path).images
-    i = np.arange(1, n + 1, dtype=np.int64)
-    gap = i[None, :] - i[:, None]  # gap[i-1, j-1] = j - i
-    nested = gap < (et.l >> 1)[:, None]
-    sig_less = sigma[None, :] < sigma[:, None]  # sigma(j) < sigma(i)
-    upper = gap > 0
-    return bool(np.all((nested == sig_less)[upper]))

@@ -1,6 +1,5 @@
 """The Billey-Jockusch-Stanley bijection between Dyck paths and
-321-avoiding permutations, with its deterministic sign and coupling
-diagnostics.
+321-avoiding permutations, with its conditional coupling diagnostics.
 
 Forward rule: with run prefix sums A_i, D_i of the path, tau sends each
 D_i (i < m) to 1 + A_i and maps the remaining positions increasingly
@@ -11,12 +10,14 @@ would otherwise be n+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .dyck import DyckPath, RunDecomposition, runs, validate
 from .errors import Not321Avoiding, NotReconstructible
 from .perms import Permutation, avoids_321
+from .petrov import below, check_petrov
 
 
 def forward(path: DyckPath) -> Permutation:
@@ -69,18 +70,6 @@ def inverse(perm: Permutation) -> DyckPath:
         raise NotReconstructible(str(exc)) from exc
 
 
-def check_exceedance_sign(path: DyckPath) -> bool:
-    """True iff tau(j) > j exactly on {D_1..D_{m-1}} and tau(j) <= j off it.
-
-    This dichotomy holds for every Dyck path.
-    """
-    rd = runs(path)
-    tau = _forward_from_runs(rd).images
-    idx = np.arange(1, rd.n + 1, dtype=np.int64)
-    exceed = idx[tau > idx]
-    return bool(np.array_equal(exceed, rd.set_D()))
-
-
 @dataclass(frozen=True)
 class CouplingReport:
     """Worst-case deviations between tau and the path heights.
@@ -114,8 +103,6 @@ def coupling_bounds(path: DyckPath, petrov_report=None) -> CouplingReport:
     The bound comparisons are exact: v < 10 n^{2/5} iff v^5 < 10^5 n^2
     in integer arithmetic, and similarly for 7 n^{2/5}.
     """
-    from .petrov import check_petrov  # local import to keep modules acyclic
-
     rd = runs(path)
     n = rd.n
     tau = _forward_from_runs(rd).images
@@ -145,12 +132,7 @@ def coupling_bounds(path: DyckPath, petrov_report=None) -> CouplingReport:
         max_notd_error=max_notd,
         max_run_error=max_run,
         petrov_held=held,
-        d_within_bound=_below_power_bound(max_d, 10, n),
-        notd_within_bound=_below_power_bound(max_notd, 10, n),
-        run_within_bound=_below_power_bound(max_run, 7, n),
+        d_within_bound=below(max_d, n, 10, Fraction(2, 5)),
+        notd_within_bound=below(max_notd, n, 10, Fraction(2, 5)),
+        run_within_bound=below(max_run, n, 7, Fraction(2, 5)),
     )
-
-
-def _below_power_bound(v: int, coef: int, n: int) -> bool:
-    """Exact test of v < coef * n^(2/5) for nonnegative integers."""
-    return v**5 < coef**5 * n**2

@@ -158,7 +158,7 @@ def _cmd_petrov(args) -> int:
         return 0
     for text in _inputs(args):
         path = _parse_path(text)
-        report = check_petrov(path, pair_mode=args.pair_mode)
+        report = check_petrov(path)
         payload = report.as_dict()
         payload["voucher"] = dataclasses.asdict(check_voucher(path, report))
         print(json.dumps(payload, sort_keys=True))
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--pair-mode", choices=("auto", "fast", "enumerate"), default="auto")
     p.add_argument("input", nargs="*")
     p.set_defaults(fn=_cmd_petrov)
 

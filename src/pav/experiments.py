@@ -27,12 +27,7 @@ from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform, scaled_path
 from .errors import BadConfig, NotReconstructible, TooLarge
 from .parallel import effective_workers, replicate_map
-from .perms import (
-    exceedance_sets,
-    inversions,
-    max_deficit,
-    scaled_function,
-)
+from .perms import exceedance_sets, max_deficit, scaled_function
 from .petrov import check_petrov
 from .rng import as_generator, substream
 from .scaled import ScaledFunction, sorted_unique
@@ -120,15 +115,18 @@ def height_vs_contour(path: DyckPath) -> float:
 def moment_replicate(n: int, seed) -> tuple[float, float]:
     """(inversions/n^1.5, max height/sqrt(2n)) for one uniform path.
 
-    The pathwise identity max = 1 + max-deficit is checked on every
-    draw; a violation would mean corrupted bijection state.
+    The 231-image sigma has inv(sigma) = (sum_x gamma(x) - n) / 2, its
+    path's area, so the count is O(n).  The pathwise identity
+    max = 1 + max-deficit is checked on every draw; a violation would
+    mean corrupted bijection state.
     """
     path = sample_uniform(n, seed)
     sigma = bij231.forward(path)
     m_path = max_height(path)
     if m_path != 1 + max_deficit(sigma):
         raise NotReconstructible("max height != 1 + max deficit on a sampled path")
-    return inversions(sigma) / n**1.5, m_path / math.sqrt(2 * n)
+    inversions = (int(path.heights.sum()) - n) // 2
+    return inversions / n**1.5, m_path / math.sqrt(2 * n)
 
 
 ORACLE_LIMIT = 256
@@ -264,10 +262,13 @@ class ExperimentConfig:
         replicates = _integer("replicates", self.replicates)
         if self.theorem_id != "subtree" and replicates < 1:
             raise BadConfig("replicates must be >= 1")
+        reals = {name: float(getattr(self, name)) for name in ("c", "alpha", "epsilon")}
+        for name, value in reals.items():
+            if not math.isfinite(value):
+                raise BadConfig(f"{name} must be finite, not {value!r}")
         return dataclasses.replace(
             self, n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
-            c=float(self.c), alpha=float(self.alpha), epsilon=float(self.epsilon),
-            keep_raw=bool(self.keep_raw),
+            keep_raw=bool(self.keep_raw), **reals,
         )
 
 

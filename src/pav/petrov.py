@@ -19,6 +19,7 @@ frequency estimates are a diagnostic, not a target.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,65 +33,37 @@ _I64_MAX = np.iinfo(np.int64).max
 # ---------------------------------------------------------------------------
 # exact threshold arithmetic
 
-
-def lt_04_n06(v: int, n: int) -> bool:
-    """v < 0.4 * n^0.6, exactly."""
-    return 3125 * v**5 < 32 * n**3
-
-
-def lt_05_n04(v: int, n: int) -> bool:
-    """v < 0.5 * n^0.4, exactly."""
-    return 32 * v**5 < n**2
+# Each threshold is coef * n^exp with rational coef and exp.
+HEIGHT = (Fraction(2, 5), Fraction(3, 5))  # (a): 0.4 n^0.6
+SPREAD = (Fraction(1, 2), Fraction(2, 5))  # (b): 0.5 n^0.4
+REACH = (Fraction(2), Fraction(3, 5))  # (b): pairs with |x - y| < 2 n^0.6
+PAIR = (Fraction(1, 10), Fraction(3, 5))  # (c)/(d): 0.1 |i - j|^0.6
+MIN_GAP = (Fraction(1), Fraction(3, 10))  # (c)/(d): pairs with |i - j| >= n^0.3
 
 
-def lt_2_n06(v: int, n: int) -> bool:
-    """v < 2 * n^0.6, exactly."""
-    return v**5 < 32 * n**3
+def below(v: int, n: int, coef: Fraction | int, exp: Fraction) -> bool:
+    """v < coef * n^exp, exactly, for nonnegative integers v, n and coef > 0.
+
+    With exp = p/q this is (coef.den * v)^q < coef.num^q * n^p, so
+    0.4 n^0.6 becomes 3125 v^5 < 32 n^3.
+    """
+    p, q = exp.numerator, exp.denominator
+    return (coef.denominator * v) ** q < coef.numerator**q * n**p
 
 
-def lt_01_g06(v: int, g: int) -> bool:
-    """v < 0.1 * g^0.6, exactly."""
-    return 10**5 * v**5 < g**3
-
-
-def ge_n03(g: int, n: int) -> bool:
-    """g >= n^0.3, exactly."""
-    return g**10 >= n**3
-
-
-def lt_n04(v: int, n: int) -> bool:
-    """v < n^0.4, exactly."""
-    return v**5 < n**2
-
-
-def lt_n06(v: int, n: int) -> bool:
-    """v < n^0.6, exactly."""
-    return v**5 < n**3
-
-
-def lt_n018(v: int, n: int) -> bool:
-    """v < n^0.18, exactly."""
-    return v**50 < n**9
-
-
-def _largest(pred, n: int, hint: float) -> int:
-    """Largest nonnegative integer v with pred(v, n), seeded by a float."""
-    v = max(0, int(hint))
-    while pred(v + 1, n):
+def largest_below(n: int, coef: Fraction | int, exp: Fraction) -> int:
+    """Largest integer v >= 0 with v < coef * n^exp (0 if there is none)."""
+    v = max(0, int(coef * n**exp))  # float seed; the loops make it exact
+    while below(v + 1, n, coef, exp):
         v += 1
-    while v > 0 and not pred(v, n):
+    while v > 0 and not below(v, n, coef, exp):
         v -= 1
     return v
 
 
 def min_gap_0x3(n: int) -> int:
     """Smallest integer g >= 1 with g >= n^0.3."""
-    g = max(1, int(n**0.3))
-    while not ge_n03(g, n):
-        g += 1
-    while g > 1 and ge_n03(g - 1, n):
-        g -= 1
-    return g
+    return largest_below(n, *MIN_GAP) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +77,8 @@ class PetrovReport:
     witnesses holds, for each failed condition, one violating tuple that
     re-verifies against the literal inequality; margins holds per
     condition the worst-case slack threshold-minus-value (negative when
-    failed).  For the pair conditions in fast mode a passing margin is a
-    certified lower bound rather than the exact minimum.
+    failed).  A passing margin is the exact minimum slack, a failing one
+    the slack of the witness.
     """
 
     n: int
@@ -116,7 +89,6 @@ class PetrovReport:
     cond_d: bool
     witnesses: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
-    mode: str = "enumerated"
     notes: tuple = ()
 
     @property
@@ -139,7 +111,6 @@ class PetrovReport:
                 k: (v if v == v and abs(v) != float("inf") else None)
                 for k, v in self.margins.items()
             },
-            "mode": self.mode,
             "notes": list(self.notes),
         }
 
@@ -189,14 +160,12 @@ def _gap_max(x: np.ndarray, g: int) -> tuple[int, int]:
 # the checker
 
 
-def check_petrov(path: DyckPath, pair_mode: str = "auto") -> PetrovReport:
+def check_petrov(path: DyckPath) -> PetrovReport:
     """Evaluate conditions (a)-(d) on a path.
 
-    pair_mode selects how the pair conditions (c)/(d) are computed:
-    "enumerate" checks every gap (O(m^2) worst case), "fast" prunes gap
-    intervals with a monotone range envelope on a geometric grid, and
-    "auto" enumerates below m = 2000.  Conditions (a) and (b) are always
-    O(n) vectorized.  All threshold comparisons are exact.
+    Conditions (a) and (b) are O(n) vectorized; the pair conditions (c)/(d)
+    are decided by _pair_condition.  All threshold comparisons are exact,
+    and a passing condition's margin is its exact minimum slack.
     """
     n = path.n
     if n < 1:
@@ -211,15 +180,15 @@ def check_petrov(path: DyckPath, pair_mode: str = "auto") -> PetrovReport:
     # (a)
     x_max = int(np.argmax(gamma))
     g_max = int(gamma[x_max])
-    cond_a = lt_04_n06(g_max, n)
+    cond_a = below(g_max, n, *HEIGHT)
     margins["a"] = 0.4 * n**0.6 - g_max
     if not cond_a:
         witnesses["a"] = (x_max, g_max)
 
     # (b): all pairs |x - y| < 2 n^0.6, i.e. gap <= W
-    w_gap = _largest(lt_2_n06, n, 2 * n**0.6)
+    w_gap = largest_below(n, *REACH)
     worst_range, w_start = _window_range_max(gamma, w_gap + 1)
-    cond_b = lt_05_n04(worst_range, n)
+    cond_b = below(worst_range, n, *SPREAD)
     margins["b"] = 0.5 * n**0.4 - worst_range
     if not cond_b:
         block = gamma[w_start : w_start + w_gap + 1]
@@ -229,133 +198,13 @@ def check_petrov(path: DyckPath, pair_mode: str = "auto") -> PetrovReport:
 
     # (c)/(d): pairs of run indices at gap >= n^0.3
     g0 = min_gap_0x3(n)
-    if pair_mode == "auto":
-        pair_mode = "enumerate" if m < 2000 else "fast"
     idx = np.arange(1, m + 1, dtype=np.int64)
+    holds = {}
     for name, series in (("c", rd.A - 2 * idx), ("d", rd.D - 2 * idx)):
         if m - 1 < g0:
-            margins[name] = float("inf")
             notes.append(f"({name}) vacuous: no index pairs at gap >= n^0.3")
-            ok = True
-        elif pair_mode == "enumerate":
-            ok, wit, margin = _pair_condition_enumerate(series, g0)
-            margins[name] = margin
-            if not ok:
-                witnesses[name] = wit
-        else:
-            ok, wit, margin = _pair_condition_fast(series, g0)
-            margins[name] = margin
-            if not ok:
-                witnesses[name] = wit
-        if name == "c":
-            cond_c = ok
-        else:
-            cond_d = ok
-
-    return PetrovReport(
-        n=n,
-        m=m,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        cond_c=cond_c,
-        cond_d=cond_d,
-        witnesses=witnesses,
-        margins=margins,
-        mode=pair_mode,
-        notes=tuple(notes),
-    )
-
-
-def _pair_condition_enumerate(series: np.ndarray, g0: int):
-    """Check |B_i - B_j| < 0.1 |i-j|^0.6 for every gap >= g0, exactly."""
-    m = series.size
-    margin = float("inf")
-    for g in range(g0, m):
-        worst, t = _gap_max(series, g)
-        if not lt_01_g06(worst, g):
-            return False, (t + 1, t + 1 + g, worst), 0.1 * g**0.6 - worst
-        margin = min(margin, 0.1 * g**0.6 - worst)
-    return True, None, margin
-
-
-def _pair_condition_fast(series: np.ndarray, g0: int):
-    """Grid-pruned pair check.
-
-    The windowed range R(g) (max |B_i - B_j| over gaps <= g) is
-    nondecreasing while the threshold 0.1 g^0.6 grows, so an interval of
-    gaps [lo, hi] is safe whenever R(hi) < 0.1 lo^0.6; only unsafe
-    intervals are enumerated gap by gap.
-    """
-    m = series.size
-    top = m - 1
-    grid = [g0]
-    while grid[-1] < top:
-        grid.append(min(top, max(grid[-1] + 1, int(grid[-1] * 1.5))))
-    margin = float("inf")
-    lo = g0
-    for hi in grid:
-        if hi < lo:
-            continue
-        envelope, _ = _window_range_max(series, hi + 1)
-        if lt_01_g06(envelope, lo):
-            margin = min(margin, 0.1 * lo**0.6 - envelope)
-        else:
-            for g in range(lo, hi + 1):
-                worst, t = _gap_max(series, g)
-                if not lt_01_g06(worst, g):
-                    return False, (t + 1, t + 1 + g, worst), 0.1 * g**0.6 - worst
-                margin = min(margin, 0.1 * g**0.6 - worst)
-        lo = hi + 1
-    return True, None, margin
-
-
-def check_petrov_oracle(path: DyckPath) -> PetrovReport:
-    """Literal quantifier enumeration of all four conditions.
-
-    Every stated pair is visited (gap by gap); intended as the test
-    oracle and for small inputs only: O(n * n^0.6 + m^2).
-    """
-    n = path.n
-    gamma = path.heights
-    rd = runs(path)
-    m = rd.m
-    witnesses: dict = {}
-    margins: dict = {}
-    notes: list[str] = []
-
-    x_max = int(np.argmax(gamma))
-    g_max = int(gamma[x_max])
-    cond_a = lt_04_n06(g_max, n)
-    margins["a"] = 0.4 * n**0.6 - g_max
-    if not cond_a:
-        witnesses["a"] = (x_max, g_max)
-
-    w_gap = _largest(lt_2_n06, n, 2 * n**0.6)
-    worst_range = 0
-    wit_b = None
-    for g in range(1, min(w_gap, gamma.size - 1) + 1):
-        worst, t = _gap_max(gamma, g)
-        if worst > worst_range:
-            worst_range = worst
-            wit_b = (t, t + g, int(gamma[t]), int(gamma[t + g]))
-    cond_b = lt_05_n04(worst_range, n)
-    margins["b"] = 0.5 * n**0.4 - worst_range
-    if not cond_b:
-        witnesses["b"] = wit_b
-
-    g0 = min_gap_0x3(n)
-    idx = np.arange(1, m + 1, dtype=np.int64)
-    results = {}
-    for name, series in (("c", rd.A - 2 * idx), ("d", rd.D - 2 * idx)):
-        if m - 1 < g0:
-            results[name] = True
-            margins[name] = float("inf")
-            notes.append(f"({name}) vacuous: no index pairs at gap >= n^0.3")
-            continue
-        ok, wit, margin = _pair_condition_enumerate(series, g0)
-        results[name] = ok
-        margins[name] = margin
-        if not ok:
+        holds[name], wit, margins[name] = _pair_condition(series, g0)
+        if wit is not None:
             witnesses[name] = wit
 
     return PetrovReport(
@@ -363,39 +212,49 @@ def check_petrov_oracle(path: DyckPath) -> PetrovReport:
         m=m,
         cond_a=cond_a,
         cond_b=cond_b,
-        cond_c=results["c"],
-        cond_d=results["d"],
+        cond_c=holds["c"],
+        cond_d=holds["d"],
         witnesses=witnesses,
         margins=margins,
-        mode="oracle",
         notes=tuple(notes),
     )
 
 
-def witness_violates(path: DyckPath, condition: str, witness: tuple) -> bool:
-    """Re-evaluate a reported witness against the literal inequality."""
-    n = path.n
-    gamma = path.heights
-    rd = runs(path)
-    if condition == "a":
-        x, val = witness
-        return int(gamma[x]) == val and not lt_04_n06(val, n)
-    if condition == "b":
-        x, y, gx, gy = witness
-        gap = abs(x - y)
-        return (
-            int(gamma[x]) == gx
-            and int(gamma[y]) == gy
-            and lt_2_n06(gap, n)
-            and not lt_05_n04(abs(gx - gy), n)
-        )
-    if condition in ("c", "d"):
-        i, j, dev = witness
-        prefix = rd.A if condition == "c" else rd.D
-        g = abs(j - i)
-        actual = abs(int(prefix[j - 1] - prefix[i - 1]) - 2 * (j - i))
-        return actual == dev and ge_n03(g, n) and not lt_01_g06(dev, g)
-    raise ValueError(f"unknown condition {condition!r}")
+def _pair_condition(series: np.ndarray, g0: int):
+    """Check |B_i - B_j| < 0.1 |i-j|^0.6 for every gap >= g0, exactly.
+
+    Returns (ok, witness, margin) as a gap-by-gap enumeration would: the
+    witness (i, j, |B_i - B_j|) is the worst pair at the smallest failing
+    gap, and the margin is that gap's slack, or on success the minimum
+    slack over all gaps.
+
+    Gaps are taken in intervals [lo, hi] on a geometric grid.  The windowed
+    range R(hi) (max |B_i - B_j| over gaps <= hi) bounds every gap of the
+    interval while the threshold grows with the gap, so an interval is
+    skipped when R(hi) < 0.1 lo^0.6 certifies it and its slack bound
+    0.1 lo^0.6 - R(hi) cannot lower the margin found so far.  Every other
+    interval is scanned gap by gap.
+    """
+    margin = float("inf")
+    for lo, hi in _gap_intervals(g0, series.size - 1):
+        if margin < float("inf"):  # a skip needs a margin to compare against
+            envelope, _ = _window_range_max(series, hi + 1)
+            if below(envelope, lo, *PAIR) and 0.1 * lo**0.6 - envelope >= margin:
+                continue
+        for g in range(lo, hi + 1):
+            worst, t = _gap_max(series, g)
+            if not below(worst, g, *PAIR):
+                return False, (t + 1, t + 1 + g, worst), 0.1 * g**0.6 - worst
+            margin = min(margin, 0.1 * g**0.6 - worst)
+    return True, None, margin
+
+
+def _gap_intervals(g0: int, top: int):
+    """Consecutive gap intervals [lo, hi] covering g0..top, growing by 1.5x."""
+    lo = hi = g0
+    while lo <= top:
+        yield lo, hi
+        lo, hi = hi + 1, min(top, max(hi + 1, int(hi * 1.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +303,19 @@ def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> 
             window_hits_d=True, window_hits_complement=True,
         )
 
-    i_arr = np.arange(1, m + 1, dtype=np.int64)
-    y = rd.y
-    edge = np.array(
-        [lt_n06(int(i), n) or lt_n06(int(m - i), n) for i in i_arr], dtype=bool
-    )
-    y_edge_ok = all(lt_n04(int(v), n) for v in y[edge])
+    # every claim is v < threshold, monotone in v: one test on each max
+    def all_below(values, exp):
+        return values.size == 0 or below(int(values.max()), n, 1, exp)
 
-    increments_ok = all(lt_n018(int(v), n) for v in rd.a) and all(
-        lt_n018(int(v), n) for v in rd.d
-    )
+    near = largest_below(n, 1, Fraction(3, 5))  # i < n^0.6 iff i <= near
+    i_arr = np.arange(1, m + 1, dtype=np.int64)
+    edge = (i_arr <= near) | (m - i_arr <= near)
+    y = rd.y
+    y_edge_ok = all_below(y[edge], Fraction(2, 5))
+
+    increments_ok = all_below(rd.a, Fraction(9, 50)) and all_below(rd.d, Fraction(9, 50))
     y_steps = np.abs(np.diff(np.concatenate(([0], y))))
-    y_increment_ok = all(lt_n018(int(v), n) for v in y_steps)
+    y_increment_ok = all_below(y_steps, Fraction(9, 50))
 
     window = min_gap_0x3(n)
     d_set = rd.set_D()

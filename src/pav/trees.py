@@ -281,8 +281,8 @@ def subtree_size_limit(c: float, alpha: float) -> float:
     1/sqrt(pi c); for alpha = 1 (normalization sqrt(n)) and 0 < c <= 1 it
     is sqrt((1-c)/(pi c)), which vanishes at c = 1.
     """
-    if c <= 0:
-        raise DomainError("c must be positive")
+    if not 0 < c < math.inf:  # also rejects NaN
+        raise DomainError("c must be positive and finite")
     if not 0 < alpha <= 1:
         raise DomainError("alpha must lie in (0, 1]")
     if alpha < 1:

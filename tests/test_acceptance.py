@@ -24,8 +24,10 @@ from pav.experiments import (
     se_set,
 )
 from pav.perms import Permutation, contains_pattern, inversions, max_deficit
-from pav.petrov import check_petrov, check_petrov_oracle, check_voucher
+from pav.petrov import check_petrov, check_voucher
 from pav.rng import substream
+from test_bij321 import check_exceedance_sign
+from test_petrov import assert_matches_oracle
 
 P321 = Permutation([3, 2, 1])
 P231 = Permutation([2, 3, 1])
@@ -109,7 +111,7 @@ def _identities_hold(path):
     # inversions = path length - (n+1) + 1
     assert inversions(sigma) == int(heights.sum()) - n
     # exceedance sign dichotomy of the run bijection
-    assert bij321.check_exceedance_sign(path)
+    assert check_exceedance_sign(path)
 
 
 @criterion(4, "pathwise identities, exhaustive n <= 8 plus 1e4 paths at n = 1e3")
@@ -276,25 +278,20 @@ def test_a09_se_set_size():
 
 @criterion(10, "regularity checker agrees with its oracle; gated bounds never violated")
 def test_a10_petrov():
-    def conds(rep):
-        return (rep.cond_a, rep.cond_b, rep.cond_c, rep.cond_d)
-
     for n in range(1, 9):
         for path in pav.enumerate_all(n):
-            assert conds(check_petrov(path, pair_mode="fast")) == conds(
-                check_petrov_oracle(path)
-            )
+            assert_matches_oracle(path)
     rng = substream(10_010)
     held = 0
     for _ in range(1000):
         n = int(rng.integers(1, 201))
         path = pav.sample_uniform(n, rng)
-        fast = check_petrov(path, pair_mode="fast")
-        assert conds(fast) == conds(check_petrov_oracle(path))
-        if fast.all_hold:
+        assert_matches_oracle(path)
+        rep = check_petrov(path)
+        if rep.all_hold:
             held += 1
-            assert check_voucher(path, fast).ok
-            assert bij321.coupling_bounds(path, fast).bounds_hold
+            assert check_voucher(path, rep).ok
+            assert bij321.coupling_bounds(path, rep).bounds_hold
     # The conditions are expected to fail on every sampled path at this
     # scale; assert and record the vacuity, then exercise the gated
     # bounds on a crafted regular family where all conditions hold.
@@ -302,7 +299,7 @@ def test_a10_petrov():
     crafted = 0
     for k in (25, 250, 2500):
         path = pav.from_text("UUDD" * k)
-        rep = check_petrov(path, pair_mode="fast")
+        rep = check_petrov(path)
         assert rep.all_hold
         assert check_voucher(path, rep).ok
         assert bij321.coupling_bounds(path, rep).bounds_hold

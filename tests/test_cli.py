@@ -1,11 +1,15 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import contextlib
 import io
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pav.cli import main
 
@@ -136,6 +140,11 @@ class TestExpect:
         code, _, err = run_cli(["expect", "xi", "--n", "2", "--k", "9"], capsys=capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("c", ["nan", "inf"])
+    def test_limit_non_finite_c_exit_1(self, capsys, c):
+        code, out, err = run_cli(["expect", "limit", "--c", c], capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error:")
+
 
 class TestPetrovCmd:
     def test_single_path_json(self, capsys):
@@ -159,6 +168,12 @@ class TestPetrovCmd:
             ["petrov", "--n", "10", "--replicates", "2", "--threads", "0"], capsys=capsys
         )
         assert code == 1 and out == "" and err.startswith("error:")
+
+    def test_pair_mode_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["petrov", "--pair-mode", "fast", "UDUDUD"])
+        assert exc.value.code == 2
+        assert "mode" not in run_cli(["petrov", "UUDD" * 17], capsys=capsys)[1]
 
 
 class TestExperimentCmd:
@@ -186,6 +201,19 @@ class TestExperimentCmd:
         assert code == 0 and out == ""
         payload = json.loads(out_file.read_text())
         assert [r["n"] for r in payload["results"]] == [50, 100]
+
+    @pytest.mark.parametrize("theorem,name,value", [
+        ("thm231", "c", "nan"),
+        ("random_index", "c", "inf"),
+        ("thm231", "alpha", "nan"),
+        ("thm321", "epsilon", "-inf"),
+    ])
+    def test_non_finite_real_exit_1(self, capsys, theorem, name, value):
+        code, out, err = run_cli(
+            ["experiment", "--theorem", theorem, "--n-grid", "10", "--replicates", "2",
+             f"--{name}={value}"], capsys=capsys,
+        )
+        assert (code, out) == (1, "") and err.startswith(f"error: {name} must be finite")
 
     def test_bad_theorem_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -252,3 +280,51 @@ class TestProcessLevel:
         assert payload["max_height"] == 2
         assert payload["inversions"] == 2
         assert payload["max_deficit"] == 1
+
+
+KINDS = ("dyck", "321", "231", "tree")
+LINE_COMMANDS = [
+    *(["map", "--from", a, "--to", b] for a, b in itertools.product(KINDS, KINDS)),
+    *(["stats", "--as", kind] for kind in KINDS),
+    *(["check", "--pattern", pattern] for pattern in ("321", "231")),
+    ["petrov"],
+]
+# Lines near each format: step letters, small and huge integers, signs,
+# separators and stray characters, plus arbitrary text.
+TOKENS = st.sampled_from(["U", "D", "UD", "UUDD", "0", "1", "2", "3", "7", "-1", "+2",
+                          "99999999999999999999", "1e3", "x", "\t", "  "])
+LINES = st.one_of(
+    st.lists(TOKENS, max_size=12).map("".join),
+    st.lists(st.integers(-3, 40).map(str), max_size=12).map(" ".join),
+    st.text(max_size=30),
+).filter(lambda line: "\n" not in line and "\r" not in line)
+
+
+def run_lines(args, lines):
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO("".join(line + "\n" for line in lines))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    finally:
+        sys.stdin = old
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("args", LINE_COMMANDS, ids=" ".join)
+@given(lines=st.lists(LINES, min_size=1, max_size=4))
+@example(lines=["3\x1c2 1", "2\u20281"])  # str.split whitespace that str.splitlines breaks on
+@settings(max_examples=40, deadline=None)
+def test_any_line_keeps_the_exit_contract(args, lines):
+    """Exit 0, or exit 1 with only `error:` / `contains <pattern>:` lines on
+    stderr; an uncaught exception fails the test with its traceback."""
+    code, _, err = run_lines(args, lines)
+    allowed = ("error:", f"contains {args[-1]}:") if args[0] == "check" else ("error:",)
+    if code == 0:
+        assert err == ""
+    else:
+        assert code == 1
+        lines = err.split("\n")  # the CLI ends lines with \n only
+        assert lines.pop() == "" and lines, err
+        assert all(line.startswith(allowed) for line in lines), err

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pav
 from pav import bij231, parallel
@@ -162,7 +164,40 @@ class TestExactMomentOracle:
             exact_moment_oracle(257)
 
 
+def area_inversions(path) -> int:
+    """The inversion count moment_replicate reads off the path's area."""
+    return (int(path.heights.sum()) - path.n) // 2
+
+
 class TestMoments:
+    def test_area_identity_exhaustive(self):
+        for n in range(1, 11):
+            for p in pav.enumerate_all(n):
+                assert area_inversions(p) == inversions(bij231.forward(p))
+
+    @given(st.integers(1, 2000), st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_area_identity_property(self, n, seed):
+        p = pav.sample_uniform(n, substream(seed))
+        assert area_inversions(p) == inversions(bij231.forward(p))
+
+    @pytest.mark.parametrize("text", ["UD" * 100_000, "U" * 100_000 + "D" * 100_000],
+                             ids=["sawtooth", "tent"])
+    def test_area_identity_extremes(self, text):
+        p = pav.from_text(text)
+        assert area_inversions(p) == inversions(bij231.forward(p))
+
+    def test_area_identity_large(self):
+        for r in range(3):
+            p = pav.sample_uniform(100_000, substream(77, r))
+            assert area_inversions(p) == inversions(bij231.forward(p))
+
+    def test_replicate_counts_inversions_of_the_image(self):
+        for r in range(5):
+            path = pav.sample_uniform(500, substream(4, 500, r))
+            inv, _ = moment_replicate(500, substream(4, 500, r))
+            assert inv == inversions(bij231.forward(path)) / 500**1.5
+
     def test_exhaustive_mean_inversions_n2(self):
         vals = [inversions(bij231.forward(p)) for p in pav.enumerate_all(2)]
         assert sorted(vals) == [0, 1]
@@ -212,6 +247,14 @@ class TestHarness:
         kwargs = dict(theorem_id="thm321", n_grid=(10,), replicates=2, seed=1)
         kwargs[field] = value
         with pytest.raises(BadConfig):
+            ExperimentConfig(**kwargs).validated()
+
+    @pytest.mark.parametrize("field", ["c", "alpha", "epsilon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_reals(self, field, value):
+        kwargs = dict(theorem_id="thm231", n_grid=(10,), replicates=2, seed=1)
+        kwargs[field] = value
+        with pytest.raises(BadConfig, match=field):
             ExperimentConfig(**kwargs).validated()
 
     def test_report_schema(self):

@@ -196,3 +196,9 @@ class TestSubtreeSizeLimit:
             trees.subtree_size_limit(1.0, 1.5)
         with pytest.raises(DomainError):
             trees.subtree_size_limit(1.0, 0.0)
+
+    @pytest.mark.parametrize("c", [math.nan, math.inf])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_non_finite_c(self, c, alpha):
+        with pytest.raises(DomainError):
+            trees.subtree_size_limit(c, alpha)
