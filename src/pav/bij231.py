@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyck import DyckPath, excursions
+from .dyck import DyckPath, excursions, steps_from_runs
 from .errors import IndexOutOfRange, InvalidPath, Not231Avoiding
 from .perms import Permutation
 from .trees import OrderedTree, stats
@@ -43,14 +43,12 @@ def inverse(perm: Permutation) -> DyckPath:
     h_pk = 1 - delta[i_pk - 1]
     # Adjacent peaks (x, h), (x', h') meet at the valley (h + h' - (x' - x)) / 2.
     valley = (h_pk[:-1] + h_pk[1:] - np.diff(2 * i_pk - h_pk)) >> 1
-    lengths = np.empty(2 * i_pk.size, dtype=np.int64)
-    lengths[0::2] = np.concatenate(([h_pk[0]], h_pk[1:] - valley))  # climbs
-    lengths[1::2] = np.concatenate((h_pk[:-1] - valley, [h_pk[-1]]))  # descents
-    vals = np.tile(np.array([1, -1], dtype=np.int8), i_pk.size)
+    climbs = np.concatenate(([h_pk[0]], h_pk[1:] - valley))
+    descents = np.concatenate((h_pk[:-1] - valley, [h_pk[-1]]))
     path = None
-    if lengths.min() >= 0:
+    if min(climbs.min(), descents.min()) >= 0:
         try:
-            path = DyckPath(np.repeat(vals, lengths))
+            path = DyckPath(steps_from_runs(climbs, descents))
         except InvalidPath:  # peaks that no Dyck path has
             pass
     if path is None or forward(path) != perm:

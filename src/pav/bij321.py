@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyck import DyckPath, RunDecomposition, runs, validate
+from .dyck import DyckPath, RunDecomposition, runs, steps_from_runs, validate
 from .errors import Not321Avoiding, NotReconstructible
 from .perms import Permutation, avoids_321
 from .petrov import below, check_petrov
@@ -58,14 +58,10 @@ def inverse(perm: Permutation) -> DyckPath:
     big_a = np.concatenate((images[d_set - 1] - 1, [n]))
     a = np.diff(big_a, prepend=0)
     d = np.diff(big_d, prepend=0)
-    lengths = np.empty(2 * a.size, dtype=np.int64)
-    lengths[0::2] = a
-    lengths[1::2] = d
-    if lengths.min() <= 0:
+    if min(a.min(), d.min()) <= 0:
         raise NotReconstructible("nonpositive run length from exceedance data")
-    vals = np.tile(np.array([1, -1], dtype=np.int8), a.size)
     try:
-        return validate(np.repeat(vals, lengths))
+        return validate(steps_from_runs(a, d))
     except ValueError as exc:
         raise NotReconstructible(str(exc)) from exc
 

@@ -5,7 +5,8 @@ Text formats are shared with the library: paths are U/D strings, and
 permutations are space-separated one-indexed images.  Trees print as the
 space-separated parent labels of v_1..v_N-1 (the root v_0 is implicit).
 stdout carries data only; diagnostics go to stderr.  Exit codes: 0
-success, 1 data error, 2 usage error.
+success, 1 data error or an allocation the machine refuses, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -33,22 +34,21 @@ class DataError(Exception):
 
 def _parse_path(text: str) -> dyck.DyckPath:
     try:
-        return dyck.from_text(text.strip())
+        return dyck.from_text(text)
     except ValueError as exc:
         raise DataError(f"invalid path {text!r}: {exc}") from exc
 
 
 def _parse_perm(text: str) -> perms.Permutation:
     try:
-        return perms.Permutation(text.strip())
+        return perms.Permutation(text)
     except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise DataError(f"invalid permutation {text!r}: {exc}") from exc
 
 
 def _parse_tree(text: str) -> trees.OrderedTree:
     try:
-        parents = np.array(["-1", *text.split()], dtype=np.int64)  # int() per token
-        return trees.OrderedTree(parents)
+        return trees.OrderedTree(np.concatenate(([-1], perms.ints_from_text(text))))
     except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
         raise DataError(f"invalid tree {text!r}: {exc}") from exc
 
@@ -79,10 +79,11 @@ def _from_path(kind: str, path: dyck.DyckPath) -> str:
 
 
 def _inputs(args) -> list[str]:
-    """Positional inputs if present, else nonempty stdin lines."""
+    """Positional inputs if present, else nonempty stdin lines, without
+    the ASCII blanks at either end (any other character is data)."""
     if args.input:
-        return list(args.input)
-    return [line.strip() for line in sys.stdin if line.strip()]
+        return [text.strip(" \t\r\n") for text in args.input]
+    return [text for line in sys.stdin if (text := line.strip(" \t\r\n"))]
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +131,10 @@ def _cmd_check(args) -> int:
     for text in _inputs(args):
         perm = _parse_perm(text)
         if avoid(perm):
-            print(text.strip())
+            print(text)
         else:
             bad += 1
-            print(f"contains {args.pattern}: {text.strip()}", file=sys.stderr)
+            print(f"contains {args.pattern}: {text}", file=sys.stderr)
     return 1 if bad else 0
 
 
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DataError, PavError, ValueError) as exc:
+    except (DataError, PavError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -242,13 +242,15 @@ class RunDecomposition:
         mask[self.set_D()] = False
         return np.nonzero(mask)[0]
 
-    def reconstruct_steps(self) -> np.ndarray:
-        """Rebuild the step sequence U^{a_1}D^{d_1}...U^{a_m}D^{d_m}."""
-        lengths = np.empty(2 * self.m, dtype=np.int64)
-        lengths[0::2] = self.a
-        lengths[1::2] = self.d
-        vals = np.tile(np.array([1, -1], dtype=np.int8), self.m)
-        return np.repeat(vals, lengths)
+
+def steps_from_runs(up, down) -> np.ndarray:
+    """The int8 steps U^up[0] D^down[0] ... U^up[m-1] D^down[m-1] of
+    nonnegative run lengths, which callers check."""
+    m = len(up)
+    lengths = np.empty(2 * m, dtype=np.int64)
+    lengths[0::2] = up
+    lengths[1::2] = down
+    return np.repeat(np.tile(np.array([1, -1], dtype=np.int8), m), lengths)
 
 
 def runs(path: DyckPath) -> RunDecomposition:

@@ -4,9 +4,11 @@ statements into finite-n convergence measurements.
 Each replicate is a pure function of (master seed, n, replicate index),
 so reports are bitwise reproducible at any worker count.  Sup distances
 between the scaled path and the interpolated exceedance functions are
-evaluated exactly at knot unions; reference constants for the limiting
-functionals enter only through the exact dynamic-programming oracle and
-the acceptance tests, never through library code.
+evaluated exactly at knot unions.  Exact targets come from closed forms:
+the moment oracle's E[sum_x gamma(x)] = (4^n - binom(2n+1, n)) / C_n,
+and the subtree theorem's E[hat_xi_k], summed from the shorter side of
+sum_{j=1}^{n} E[xi_j] = n (each non-root vertex roots one proper fringe
+subtree).  Limit constants enter only through the acceptance tests.
 """
 
 from __future__ import annotations
@@ -134,38 +136,18 @@ ORACLE_LIMIT = 256
 
 def exact_moment_oracle(n: int) -> tuple[Fraction, Fraction]:
     """Exact (E[sum_x gamma(x)], E[max gamma]) over uniform paths of
-    semilength n, by dynamic programming with unbounded integers.
+    semilength n, with unbounded integers.
 
-    The area expectation comes from a forward DP carrying (path count,
-    accumulated height sum) per lattice point; the maximum from exact
-    strip counts N(h) = #paths staying within [0, h], via double
-    reflection.  Guarded at n <= 256.
+    The area is the closed form E[sum_x gamma(x)] = (4^n - binom(2n+1, n))
+    / C_n; the maximum comes from exact strip counts N(h) = #paths
+    staying within [0, h], via double reflection, which must reach C_n
+    at h = n.  Guarded at n <= 256.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > ORACLE_LIMIT:
         raise TooLarge(f"n={n} exceeds oracle guard {ORACLE_LIMIT}")
     c_n = catalan(n)
-
-    # area DP
-    counts = {0: 1}
-    sums = {0: 0}
-    for _ in range(2 * n):
-        new_counts: dict[int, int] = {}
-        new_sums: dict[int, int] = {}
-        for y, cnt in counts.items():
-            s = sums[y]
-            for y2 in (y - 1, y + 1):
-                if y2 < 0:
-                    continue
-                new_counts[y2] = new_counts.get(y2, 0) + cnt
-                new_sums[y2] = new_sums.get(y2, 0) + s + y2 * cnt
-        counts, sums = new_counts, new_sums
-    if counts[0] != c_n:
-        raise NotReconstructible(f"area DP counts {counts[0]} paths, not C_{n}")
-    e_area = Fraction(sums[0], c_n)
-
-    # max via strip counts
     prev = _paths_within(n, 0)
     total_max = 0
     for h in range(1, n + 1):
@@ -174,8 +156,8 @@ def exact_moment_oracle(n: int) -> tuple[Fraction, Fraction]:
         prev = cur
     if prev != c_n:
         raise NotReconstructible(f"strip counts reach {prev} paths, not C_{n}")
-    e_max = Fraction(total_max, c_n)
-    return e_area, e_max
+    e_area = Fraction(4**n - math.comb(2 * n + 1, n), c_n)
+    return e_area, Fraction(total_max, c_n)
 
 
 def _paths_within(n: int, h: int) -> int:

@@ -15,6 +15,15 @@ from .errors import EmptySet, IndexOutOfRange
 from .scaled import ScaledFunction, owned_array, sorted_unique
 
 
+def ints_from_text(text: str) -> np.ndarray:
+    """The int64 values of a line of ASCII digits separated by spaces or
+    tabs.  Any other character (a sign, an underscore, a non-ASCII digit
+    or separator) raises ValueError; a value beyond int64, OverflowError."""
+    if not text.isascii() or text.encode().translate(None, b"0123456789 \t"):
+        raise ValueError("expected ASCII digits separated by spaces or tabs")
+    return np.array(text.split(), dtype=np.int64)  # int() per token
+
+
 class Permutation:
     """Immutable permutation of {1..n}, n >= 1."""
 
@@ -24,11 +33,7 @@ class Permutation:
         if isinstance(images, Permutation):
             arr = images._images
         elif isinstance(images, str):
-            tokens = images.split()
-            try:
-                arr = np.array(tokens, dtype=np.int64)  # int() per token
-            except OverflowError:  # a malformed token anywhere raises ValueError first
-                arr = np.array([int(tok) for tok in tokens], dtype=np.int64)
+            arr = ints_from_text(images)
         else:
             arr = np.asarray(images)
             if arr.dtype.kind not in "iu":

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyck import DyckPath, excursions
+from .dyck import DyckPath, excursions, steps_from_runs
 from .errors import DomainError, RangeError
 
 
@@ -151,11 +151,7 @@ def to_contour(tree: OrderedTree) -> DyckPath:
     down = np.empty(n, dtype=np.int64)
     down[:-1] = ht[:-1] - ht[1:] + 1
     down[-1] = ht[-1]
-    lengths = np.empty(2 * n, dtype=np.int64)
-    lengths[0::2] = 1
-    lengths[1::2] = down
-    vals = np.tile(np.array([1, -1], dtype=np.int8), n)
-    return DyckPath(np.repeat(vals, lengths), validated=True)
+    return DyckPath(steps_from_runs(np.ones(n, dtype=np.int64), down), validated=True)
 
 
 @dataclass(frozen=True)
@@ -228,23 +224,36 @@ def expected_xi(n: int, k: int) -> Fraction:
 def expected_hat_xi(n: int, k: int) -> Fraction:
     """Exact E[hat_xi_k] = sum_{j=k}^{n} E[xi_j] (proper subtrees only).
 
-    The summand C_{j-1} * binom(2(n+1-j), n+1-j) is carried as a single
-    big integer and updated by one small-factor multiply/divide per term,
-    so the whole sum costs O(n) word operations on numbers of ~2n bits.
+    Every non-root vertex roots exactly one proper fringe subtree, so
+    sum_{j=1}^{n} E[xi_j] = n, i.e. sum_{j=1}^{n} T_j = 2n C_n with
+    T_j = C_{j-1} * binom(2(n+1-j), n+1-j).  The sum is therefore taken
+    over the shorter side: the head j < k, subtracted from 2n C_n, or the
+    tail j >= k.  T_j is carried as one big integer and updated by one
+    small-factor multiply/divide per term: O(min(k, n - k)) updates of
+    ~2n-bit numbers, plus the one binom(2n, n) that gives both T_1 and C_n.
     """
     if not 1 <= k <= n + 1:
         raise RangeError(f"k={k} outside 1..{n + 1}")
     if k == n + 1:
         return Fraction(0)
-    r = n + 1 - k
-    term = catalan(k - 1) * math.comb(2 * r, r)
-    total = term
-    for j in range(k, n):
-        # C_j / C_{j-1} = 2(2j-1)/(j+1);  binom(2r-2,r-1)/binom(2r,r) = r/(2(2r-1))
-        term = term * (2 * (2 * j - 1) * r) // ((j + 1) * 2 * (2 * r - 1))
-        r -= 1
+    binom_n = math.comb(2 * n, n)
+    c_n = binom_n // (n + 1)
+    head = k - 1 < n - k + 1
+    if head:
+        first, last, term = 1, k - 1, binom_n  # T_1 = C_0 binom(2n, n)
+    else:
+        first, last = k, n
+        term = catalan(k - 1) * math.comb(2 * (n + 1 - k), n + 1 - k)
+    total = 0
+    r = n + 1 - first
+    for j in range(first, last + 1):
         total += term
-    return Fraction(total, 2 * catalan(n))
+        # C_j / C_{j-1} = 2(2j-1)/(j+1);  binom(2r-2,r-1)/binom(2r,r) = r/(2(2r-1))
+        term = term * ((2 * j - 1) * r) // ((j + 1) * (2 * r - 1))
+        r -= 1
+    if head:
+        total = 2 * n * c_n - total
+    return Fraction(total, 2 * c_n)
 
 
 def expected_hat_xi_float(n: int, k: int) -> float:

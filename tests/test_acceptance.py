@@ -3,8 +3,7 @@ criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Everything is seeded;
 reruns are bit-identical.  Expected wall time is a few minutes, most of
-it in the n = 1e5 Monte Carlo criteria (7, 8) and the exact big-integer
-sums (6, 9).
+it in the n = 1e5 Monte Carlo criteria (7, 8).
 """
 
 import functools
@@ -163,12 +162,12 @@ INV_TARGET = math.sqrt(math.pi) / 2  # 0.8862...
 MAX_TARGET = math.sqrt(math.pi / 2)  # 1.2533...
 
 
-@criterion(7, "moment constants: exact-DP validation then Monte Carlo at n = 1e5")
+@criterion(7, "moment constants: exact-oracle validation then Monte Carlo at n = 1e5")
 def test_a07_moment_constants():
     # The raw exact ratios at n <= 256 sit ~5-7% below the limits (the
     # corrections are Theta(n^-1/2)), so the constants are validated by
-    # cancelling that term: r_extrap = 2 r(4n) - r(n) from the exact DP
-    # at n = 64 and 256 must land within 3% of each limit.
+    # cancelling that term: r_extrap = 2 r(4n) - r(n) from the exact
+    # oracle at n = 64 and 256 must land within 3% of each limit.
     ratios = {}
     for n in (64, 256):
         e_area, e_max = exact_moment_oracle(n)
@@ -196,13 +195,23 @@ def test_a07_moment_constants():
         theorem_id="moments", n_grid=(100_000,), replicates=2000, seed=777
     )
     report = run_experiment(cfg)
-    inv_mean = report.rows(statistic="inversions_scaled")[0]["mean"]
+    inv_row = report.rows(statistic="inversions_scaled")[0]
+    inv_mean = inv_row["mean"]
     max_mean = report.rows(statistic="max_scaled")[0]["mean"]
     assert abs(inv_mean - INV_TARGET) / INV_TARGET < 0.05, inv_mean
     assert abs(max_mean - MAX_TARGET) / MAX_TARGET < 0.03, max_mean
+    # The exact finite-n target: E[inv] = (E[sum gamma] - n) / 2 with the
+    # closed-form area (4^n - binom(2n+1, n)) / C_n.
+    n = 100_000
+    e_area = Fraction(4**n - math.comb(2 * n + 1, n), pav.catalan(n))
+    inv_exact = float((e_area - n) / 2) / n**1.5
+    inv_se = inv_row["sd"] / math.sqrt(inv_row["count"])
+    z = (inv_mean - inv_exact) / inv_se
+    assert abs(z) <= 4, (inv_mean, inv_exact, inv_se)
     return (
-        f"DP-extrapolated ({inv_extrap:.4f}, {max_extrap:.4f}); "
-        f"MC means ({inv_mean:.4f}, {max_mean:.4f}) vs ({INV_TARGET:.4f}, {MAX_TARGET:.4f})"
+        f"oracle-extrapolated ({inv_extrap:.4f}, {max_extrap:.4f}); "
+        f"MC means ({inv_mean:.4f}, {max_mean:.4f}) vs ({INV_TARGET:.4f}, {MAX_TARGET:.4f}); "
+        f"inversions z = {z:+.2f} against exact {inv_exact:.6f}"
     )
 
 

@@ -4,6 +4,7 @@ import contextlib
 import io
 import itertools
 import json
+import resource
 import subprocess
 import sys
 
@@ -106,6 +107,10 @@ class TestMap:
             assert (code, out) == (1, "")
             assert err.startswith("error: input contains a 231 pattern: ")
 
+    def test_non_ascii_tree_exit_1(self, capsys):
+        code, out, err = run_cli(["map", "--from", "tree", "--to", "dyck", "0 ０"], capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: invalid tree")
+
     def test_int64_overflow_exit_1(self, capsys):
         for kind, text in (("231", "99999999999999999999"), ("tree", "0 99999999999999999999")):
             code, out, err = run_cli(["map", "--from", kind, "--to", "dyck", text], capsys=capsys)
@@ -113,6 +118,22 @@ class TestMap:
 
 
 class TestCheck:
+    # Integer lines are ASCII digits separated by spaces or tabs: a
+    # non-ASCII digit or separator, a sign or an underscore is an error,
+    # not an int() coercion.
+    @pytest.mark.parametrize("text", ["３ 2 1", "+3 2 1", "3\x1c2 1", "3\u20282 1",
+                                      "1_0 2 3 4 5 6 7 8 9 1", "3 2 1\u3000"])
+    def test_coercible_line_exit_1(self, capsys, text):
+        for args, stdin_text in (([text], None), ([], text + "\n")):
+            code, out, err = run_cli(["check", "--pattern", "231", *args], stdin_text,
+                                     capsys=capsys)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: invalid permutation") and err.count("\n") == 1
+
+    def test_ascii_blanks_at_line_ends_are_dropped(self, capsys):
+        code, out, _ = run_cli(["check", "--pattern", "231", " 3 2 1\t"], capsys=capsys)
+        assert (code, out) == (0, "3 2 1\n")
+
     def test_contains_nonzero_exit(self, capsys):
         code, out, err = run_cli(["check", "--pattern", "231", "2 3 1"], capsys=capsys)
         assert code == 1 and out == "" and "contains" in err
@@ -247,7 +268,28 @@ class TestExperimentCmd:
         assert "output" not in json.loads(out)["config"]
 
 
+def limit_address_space():
+    # 1 GiB: enough to import numpy, and far below what the probes ask
+    # for, so the allocation is refused at once and no memory is taken.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 class TestProcessLevel:
+    @pytest.mark.parametrize("args", [
+        ["sample", "--n", "1000000000000", "--count", "1"],
+        ["experiment", "--theorem", "random_index", "--n-grid", "1000", "--c", "1e12",
+         "--threads", "1"],
+        ["experiment", "--theorem", "random_index", "--n-grid", "1000", "--c", "1e12",
+         "--threads", "2", "--replicates", "2"],
+    ], ids=["sample", "experiment-serial", "experiment-pool"])
+    def test_memory_error_exit_1(self, args):
+        proc = subprocess.run(
+            [sys.executable, "-m", "pav.cli", *args],
+            capture_output=True, text=True, preexec_fn=limit_address_space, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_usage_error_exit_2(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pav.cli", "sample"],

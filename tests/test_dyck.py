@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pav
+from pav import dyck
 from pav.errors import (
     BadStep,
     EmptySet,
@@ -180,7 +181,7 @@ class TestRuns:
     def test_reconstruction_and_height_identity(self, n, seed):
         p = random_path(n, seed)
         rd = pav.runs(p)
-        assert np.array_equal(rd.reconstruct_steps(), p.steps)
+        assert dyck.steps_from_runs(rd.a, rd.d).tobytes() == p.steps.tobytes()
         assert np.array_equal(rd.y, p.heights[rd.A + rd.D])
         assert rd.A[-1] == rd.D[-1] == n
         assert np.all(rd.A >= rd.D)

@@ -132,7 +132,32 @@ class TestHeightVsContour:
         assert height_vs_contour(pav.from_text("UD" * 100)) == pytest.approx(1 / 10)
 
 
+def area_dp(n):
+    """Oracle: exact E[sum_x gamma(x)] by a forward DP carrying (path
+    count, accumulated height sum) per lattice point, O(n^2) big-integer
+    updates."""
+    counts = {0: 1}
+    sums = {0: 0}
+    for _ in range(2 * n):
+        new_counts: dict[int, int] = {}
+        new_sums: dict[int, int] = {}
+        for y, cnt in counts.items():
+            s = sums[y]
+            for y2 in (y - 1, y + 1):
+                if y2 < 0:
+                    continue
+                new_counts[y2] = new_counts.get(y2, 0) + cnt
+                new_sums[y2] = new_sums.get(y2, 0) + s + y2 * cnt
+        counts, sums = new_counts, new_sums
+    assert counts[0] == pav.catalan(n)
+    return Fraction(sums[0], counts[0])
+
+
 class TestExactMomentOracle:
+    @pytest.mark.parametrize("n", [*range(1, 33), 64, 100, 255, 256])
+    def test_area_against_dp(self, n):
+        assert exact_moment_oracle(n)[0] == area_dp(n)
+
     def test_n1(self):
         assert exact_moment_oracle(1) == (Fraction(1), Fraction(1))
 

@@ -1,6 +1,7 @@
-"""Text formats against the per-element parsers and formatters they
-replaced: the same output bytes and the same exception class on random
-lines and on edge tokens."""
+"""Text formats against per-element parsers and formatters: the same
+output bytes and the same exception class on random lines and on edge
+tokens.  Integer lines are ASCII decimal digits separated by spaces or
+tabs; anything else is rejected, not coerced."""
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ EDGE_TOKENS = (
 EDGE_LINES = (
     "", " ", "\t", *EDGE_TOKENS, "1 +2", "3 1_0",
     "2 1 99999999999999999999", "99999999999999999999 1.5",
+    "３ 2 1", "+3 2 1", "3\x1c2 1", "3\u20282 1", "1_0 2 3 4 5 6 7 8 9 1", "0 ０",
 )
 STEP_LINES = ("", "UD", "UDX", "ud", "U D", "ÜD", "ＵＤ", "UUDD\n", "DU")
 
@@ -39,8 +41,15 @@ def path_from_text_oracle(text):
     return pav.DyckPath(np.array([{"U": 1, "D": -1}[c] for c in text], dtype=np.int8))
 
 
+def int_line_oracle(text):
+    """The documented integer line, checked character by character."""
+    if any(ch not in "0123456789 \t" for ch in text):
+        raise ValueError(f"not an integer line: {text!r}")
+    return [int(tok) for tok in text.split()]
+
+
 def perm_from_text_oracle(text):
-    return Permutation(np.array([int(tok) for tok in text.split()], dtype=np.int64))
+    return Permutation(np.array(int_line_oracle(text), dtype=np.int64))
 
 
 def perm_to_text_oracle(perm):
@@ -49,7 +58,7 @@ def perm_to_text_oracle(perm):
 
 def tree_from_text_oracle(text):
     try:
-        parents = [-1] + [int(tok) for tok in text.split()]
+        parents = [-1] + int_line_oracle(text)
         return trees.OrderedTree(np.array(parents, dtype=np.int64))
     except (ValueError, OverflowError) as exc:
         raise cli.DataError(f"invalid tree {text!r}: {exc}") from exc

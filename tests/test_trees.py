@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pav
@@ -150,7 +150,56 @@ class TestExpectedXi:
             trees.expected_xi(4, 6)
 
 
+def expected_hat_xi_tail(n, k):
+    """Oracle: the tail sum sum_{j=k}^{n} E[xi_j] term by term, with the
+    summand C_{j-1} * binom(2(n+1-j), n+1-j) updated by one small-factor
+    multiply/divide per term (O(n - k) steps)."""
+    if k == n + 1:
+        return Fraction(0)
+    r = n + 1 - k
+    term = trees.catalan(k - 1) * math.comb(2 * r, r)
+    total = term
+    for j in range(k, n):
+        # C_j / C_{j-1} = 2(2j-1)/(j+1);  binom(2r-2,r-1)/binom(2r,r) = r/(2(2r-1))
+        term = term * (2 * (2 * j - 1) * r) // ((j + 1) * 2 * (2 * r - 1))
+        r -= 1
+        total += term
+    return Fraction(total, 2 * trees.catalan(n))
+
+
+@st.composite
+def n_and_k(draw):
+    n = draw(st.integers(1, 3000))
+    k = draw(st.one_of(
+        st.sampled_from([1, n // 2 - 1, n // 2, n // 2 + 1, n, n + 1]),
+        st.integers(1, n + 1),
+    ))
+    return n, min(max(k, 1), n + 1)
+
+
 class TestExpectedHatXi:
+    def test_oracle_exhaustive(self):
+        for n in range(60):
+            for k in range(1, n + 2):
+                assert trees.expected_hat_xi(n, k) == expected_hat_xi_tail(n, k), (n, k)
+
+    @given(n_and_k())
+    @example((3000, 1)).via("k = 1")
+    @example((3000, 1499)).via("k = n/2 - 1")
+    @example((3000, 1501)).via("k = n/2 + 1")
+    @example((2999, 1500)).via("odd n, k - 1 = n - k")
+    @example((3000, 3001)).via("k = n + 1")
+    @settings(max_examples=150, deadline=None)
+    def test_oracle_property(self, nk):
+        assert trees.expected_hat_xi(*nk) == expected_hat_xi_tail(*nk)
+
+    def test_oracle_at_a09_points(self):
+        # One O(n) oracle sum; the next point drops its first term, E[xi_100].
+        n = 100_000
+        at_100 = expected_hat_xi_tail(n, 100)
+        assert trees.expected_hat_xi(n, 100) == at_100
+        assert trees.expected_hat_xi(n, 101) == at_100 - trees.expected_xi(n, 100)
+
     def test_spec_values_n2(self):
         assert trees.expected_hat_xi(2, 1) == 2
         assert trees.expected_hat_xi(2, 2) == Fraction(1, 2)
