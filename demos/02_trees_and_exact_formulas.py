@@ -10,13 +10,13 @@ print("== a path as the contour of an ordered tree ==")
 path = pav.from_text("UDUUDUUDDUDDUUDD")
 tree = trees.from_contour(path)
 print("path    :", path)
-print("parents :", list(tree.parent))
+print("parents :", tree.parent.tolist(), "  as text:", repr(tree.to_text()))
 print("children:", tree.children())
 st = trees.stats(tree)
-print("heights :", list(st.heights))
-print("fringe  :", list(st.fringe_sizes))
+print("heights :", st.heights.tolist())
+print("fringe  :", st.fringe_sizes.tolist())
 print("path length:", st.path_length, "  xi histogram:", st.xi)
-print("contour roundtrip:", trees.to_contour(tree) == path)
+print("contour roundtrip:", trees.to_contour(trees.OrderedTree(tree.to_text())) == path)
 
 print()
 print("== the tree formula reproduces the 231 bijection ==")

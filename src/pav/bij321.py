@@ -27,15 +27,9 @@ def forward(path: DyckPath) -> Permutation:
 
 
 def _forward_from_runs(rd: RunDecomposition) -> Permutation:
-    n = rd.n
-    tau = np.zeros(n, dtype=np.int64)
-    d_set = rd.set_D()
-    a_vals = 1 + rd.set_A()
-    tau[d_set - 1] = a_vals
-    value_used = np.zeros(n + 2, dtype=bool)
-    value_used[a_vals] = True
-    free_values = np.nonzero(~value_used[1 : n + 1])[0] + 1
-    tau[tau == 0] = free_values  # both position and value order ascending
+    tau = np.empty(rd.n, dtype=np.int64)
+    tau[rd.set_D() - 1] = 1 + rd.set_A()
+    tau[rd.complement_D() - 1] = rd.complement_A()  # both ascending
     return Permutation(tau)
 
 

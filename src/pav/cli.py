@@ -1,8 +1,8 @@
 """Command-line surface: sampling, bijections, statistics, exact
 formulas, regularity checks, and the experiment harness.
 
-Text formats are shared with the library: paths are U/D strings, and
-permutations are space-separated one-indexed images.  Trees print as the
+Text formats are shared with the library: paths are U/D strings,
+permutations are space-separated one-indexed images, and trees are the
 space-separated parent labels of v_1..v_N-1 (the root v_0 is implicit).
 stdout carries data only; diagnostics go to stderr.  Exit codes: 0
 success, 1 data error or an allocation the machine refuses, 2 usage
@@ -17,8 +17,6 @@ import functools
 import json
 import sys
 
-import numpy as np
-
 from . import bij231, bij321, dyck, perms, trees
 from ._version import __version__
 from .errors import PavError
@@ -32,50 +30,31 @@ class DataError(Exception):
     """Invalid input data: reported on stderr with exit code 1."""
 
 
-def _parse_path(text: str) -> dyck.DyckPath:
-    try:
-        return dyck.from_text(text)
-    except ValueError as exc:
-        raise DataError(f"invalid path {text!r}: {exc}") from exc
+_NOUNS = {dyck.DyckPath: "path", perms.Permutation: "permutation", trees.OrderedTree: "tree"}
+
+# kind -> (text type, object to path, path to object)
+_KINDS = {
+    "dyck": (dyck.DyckPath, lambda path: path, lambda path: path),
+    "321": (perms.Permutation, bij321.inverse, bij321.forward),
+    "231": (perms.Permutation, bij231.inverse, bij231.forward),
+    "tree": (trees.OrderedTree, trees.to_contour, trees.from_contour),
+}
 
 
-def _parse_perm(text: str) -> perms.Permutation:
+def _parse(cls, text: str):
     try:
-        return perms.Permutation(text)
+        return cls(text)
     except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
-        raise DataError(f"invalid permutation {text!r}: {exc}") from exc
-
-
-def _parse_tree(text: str) -> trees.OrderedTree:
-    try:
-        return trees.OrderedTree(np.concatenate(([-1], perms.ints_from_text(text))))
-    except (ValueError, OverflowError) as exc:  # OverflowError: beyond int64
-        raise DataError(f"invalid tree {text!r}: {exc}") from exc
+        raise DataError(f"invalid {_NOUNS[cls]} {text!r}: {exc}") from exc
 
 
 def _to_path(kind: str, text: str) -> dyck.DyckPath:
-    if kind == "dyck":
-        return _parse_path(text)
-    if kind == "321":
-        return bij321.inverse(_parse_perm(text))  # main() reports a PavError
-    if kind == "231":
-        return bij231.inverse(_parse_perm(text))
-    if kind == "tree":
-        return trees.to_contour(_parse_tree(text))
-    raise DataError(f"unknown object kind {kind!r}")
+    cls, to_path, _ = _KINDS[kind]
+    return to_path(_parse(cls, text))  # main() reports an inverse's PavError
 
 
 def _from_path(kind: str, path: dyck.DyckPath) -> str:
-    if kind == "dyck":
-        return path.to_text()
-    if kind == "321":
-        return bij321.forward(path).to_text()
-    if kind == "231":
-        return bij231.forward(path).to_text()
-    if kind == "tree":
-        parent = trees.from_contour(path).parent
-        return " ".join(map(str, parent[1:].tolist()))
-    raise DataError(f"unknown object kind {kind!r}")
+    return _KINDS[kind][2](path).to_text()
 
 
 def _inputs(args) -> list[str]:
@@ -129,7 +108,7 @@ def _cmd_check(args) -> int:
     avoid = perms.avoids_321 if args.pattern == "321" else perms.avoids_231
     bad = 0
     for text in _inputs(args):
-        perm = _parse_perm(text)
+        perm = _parse(perms.Permutation, text)
         if avoid(perm):
             print(text)
         else:
@@ -146,7 +125,14 @@ def _cmd_expect(args) -> int:
     if args.n is None or args.k is None:
         raise DataError("--n and --k are required for xi / hat-xi")
     val = fn(args.n, args.k)
-    print(f"{val.numerator}/{val.denominator} ({float(val)!r})")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:  # CPython converts at most 4,300 digits by default
+        sys.set_int_max_str_digits(0)
+    try:
+        print(f"{val.numerator}/{val.denominator} ({float(val)!r})")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return 0
 
 
@@ -158,7 +144,7 @@ def _cmd_petrov(args) -> int:
         print(json.dumps(out, sort_keys=True))
         return 0
     for text in _inputs(args):
-        path = _parse_path(text)
+        path = _parse(dyck.DyckPath, text)
         report = check_petrov(path)
         payload = report.as_dict()
         payload["voucher"] = dataclasses.asdict(check_voucher(path, report))
@@ -206,13 +192,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sample)
 
     p = sub.add_parser("map", help="convert between representations")
-    p.add_argument("--from", choices=("dyck", "321", "231", "tree"), required=True)
-    p.add_argument("--to", choices=("dyck", "321", "231", "tree"), required=True)
+    p.add_argument("--from", choices=tuple(_KINDS), required=True)
+    p.add_argument("--to", choices=tuple(_KINDS), required=True)
     p.add_argument("input", nargs="*", help="objects; stdin lines if omitted")
     p.set_defaults(fn=_cmd_map)
 
     p = sub.add_parser("stats", help="per-object statistics as JSON lines")
-    p.add_argument("--as", choices=("dyck", "321", "231", "tree"), default="dyck")
+    p.add_argument("--as", choices=tuple(_KINDS), default="dyck")
     p.add_argument("input", nargs="*")
     p.set_defaults(fn=_cmd_stats)
 

@@ -231,16 +231,14 @@ class RunDecomposition:
     def complement_A(self) -> np.ndarray:
         """{1..n} minus the shifted set 1 + {A_1..A_{m-1}}, ascending."""
         mask = np.ones(self.n + 1, dtype=bool)
-        mask[0] = False
         mask[self.set_A() + 1] = False
-        return np.nonzero(mask)[0]
+        return np.flatnonzero(mask[1:]) + 1
 
     def complement_D(self) -> np.ndarray:
         """{1..n} minus {D_1..D_{m-1}}, ascending."""
         mask = np.ones(self.n + 1, dtype=bool)
-        mask[0] = False
         mask[self.set_D()] = False
-        return np.nonzero(mask)[0]
+        return np.flatnonzero(mask[1:]) + 1
 
 
 def steps_from_runs(up, down) -> np.ndarray:

@@ -4,8 +4,8 @@ exact expectation formulas for uniformly random ordered trees.
 Vertices carry depth-first preorder labels: the root is v_0 and v_j is
 the j-th vertex first visited by the walk, so parents have smaller
 labels and sibling labels increase left to right.  A tree with n+1
-vertices corresponds to a Dyck path of semilength n through its contour
-process; all expectation APIs take the semilength n and document the +1.
+vertices is held as its contour, a Dyck path of semilength n; all
+expectation APIs take the semilength n and document the +1.
 """
 
 from __future__ import annotations
@@ -18,90 +18,96 @@ import numpy as np
 
 from .dyck import DyckPath, excursions, steps_from_runs
 from .errors import DomainError, RangeError
+from .perms import ints_from_text
 
 
 class OrderedTree:
-    """Immutable rooted ordered tree given by its preorder parent array.
+    """Immutable rooted ordered tree, held as its contour: the i-th
+    up-step opens v_i at the height after it, and the fringe subtree of
+    v_i spans the excursion that step opens.
 
-    parent[0] = -1 for the root; parent[j] < j for j >= 1.  Children of a
-    vertex are ordered by label.
+    Built from the contour DyckPath, a preorder parent array (parent[0] =
+    -1, parent[j] < j, each v_j on the rightmost path of v_0..v_{j-1}), or
+    a text line of the parent labels of v_1..v_{N-1}.
     """
 
-    __slots__ = ("_parent", "_heights")
+    __slots__ = ("_path", "_parent")
 
-    def __init__(self, parent, validated: bool = False):
-        arr = np.asarray(parent, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("parent array must be nonempty and 1-d")
-        if not validated:
-            _check_preorder(arr)
-        arr = np.ascontiguousarray(arr)
-        arr.setflags(write=False)
-        self._parent = arr
-        self._heights = None
+    def __init__(self, tree):
+        if isinstance(tree, str):
+            tree = np.concatenate(([-1], ints_from_text(tree)))
+        self._path = tree if isinstance(tree, DyckPath) else _contour(tree)
+        self._parent = None
 
     @property
     def parent(self) -> np.ndarray:
+        """parent[j] for every vertex, -1 for the root (read-only)."""
+        if self._parent is None:
+            self._parent = _parents(self.heights)
+            self._parent.setflags(write=False)
         return self._parent
 
     @property
     def size(self) -> int:
         """Number of vertices N."""
-        return int(self._parent.size)
+        return self._path.n + 1
 
     def __len__(self):
         return self.size
 
     @property
     def heights(self) -> np.ndarray:
-        """Depth of every vertex (edges to the root), root = 0.
-
-        Computed by pointer doubling on the parent array: O(N log depth)
-        in a handful of vectorized passes.
-        """
-        if self._heights is None:
-            self._heights = _depths(self._parent)
-            self._heights.setflags(write=False)
-        return self._heights
+        """Depth of every vertex (edges to the root), root = 0: the
+        contour's height after each up-step."""
+        path = self._path
+        return np.concatenate(([0], path.heights[np.flatnonzero(path.steps == 1) + 1]))
 
     def children(self) -> list[list[int]]:
         """Ordered adjacency lists, index = vertex label."""
         out: list[list[int]] = [[] for _ in range(self.size)]
-        for j, p in enumerate(self._parent.tolist()):
+        for j, p in enumerate(self.parent.tolist()):
             if p >= 0:
                 out[p].append(j)
         return out
 
+    def to_text(self) -> str:
+        """The parent labels of v_1..v_{N-1}, space-separated."""
+        return " ".join(map(str, self.parent[1:].tolist()))
+
     def __eq__(self, other):
         if not isinstance(other, OrderedTree):
             return NotImplemented
-        return self.size == other.size and bool(np.all(self._parent == other._parent))
+        return self._path == other._path
 
     def __hash__(self):
-        return hash(self._parent.tobytes())
+        return hash(self._path)
 
     def __repr__(self):
         return f"OrderedTree({self.size} vertices)"
 
 
-def _check_preorder(parent: np.ndarray) -> None:
+def _contour(parent) -> DyckPath:
+    """The contour of a parent array, accepted only if it gives the same
+    parents back.  The caller's array is neither stored nor frozen."""
+    parent = np.asarray(parent)
+    if parent.dtype.kind not in "iu":
+        raise ValueError(f"parents must be integers, not {parent.dtype}")
+    if parent.ndim != 1 or parent.size == 0:
+        raise ValueError("parent array must be nonempty and 1-d")
     if parent[0] != -1:
         raise ValueError("root (label 0) must have parent -1")
-    n = parent.size
-    if n == 1:
-        return
-    p = parent[1:]
-    if p.min() < 0 or np.any(p >= np.arange(1, n)):
+    if np.any(parent[1:] < 0) or np.any(parent[1:] > np.arange(parent.size - 1)):
         raise ValueError("parents must carry smaller labels (preorder)")
-    # Preorder also requires each new vertex to attach to the current
-    # rightmost path; replay the walk with a stack.
-    stack = [0]
-    for j, pj in enumerate(p.tolist(), start=1):
-        while stack and stack[-1] != pj:
-            stack.pop()
-        if not stack:
-            raise ValueError(f"vertex {j} attaches off the rightmost path")
-        stack.append(j)
+    depth = _depths(parent)
+    # From v_{j-1} the walk descends to the parent of v_j and steps up; it
+    # ends as if one more child of the root (depth 1) followed v_n.
+    d = np.append(depth[1:], 1)
+    down = d[:-1] - d[1:] + 1
+    bad = _parents(depth) != parent  # parent not on the rightmost path
+    bad[2:] |= down[:-1] < 0  # v_j deeper than v_{j-1} + 1
+    if bad.any():
+        raise ValueError(f"vertex {np.argmax(bad)} attaches off the rightmost path")
+    return DyckPath(steps_from_runs(np.ones_like(down), down), validated=True)
 
 
 def _depths(parent: np.ndarray) -> np.ndarray:
@@ -118,40 +124,30 @@ def _depths(parent: np.ndarray) -> np.ndarray:
     return cnt
 
 
+def _parents(depth: np.ndarray) -> np.ndarray:
+    """Each parent is the last earlier vertex one level up: in the sorted
+    (depth, label) pairs, the pair just below (depth_i - 1, i)."""
+    size = depth.size
+    # numpy's stable argsort is a radix sort on 8- and 16-bit keys
+    order = np.argsort(depth.astype(np.min_scalar_type(depth.max())), kind="stable")
+    key = depth[order] * size + order
+    parent = np.empty_like(order)
+    parent[order] = order[np.searchsorted(key, key - size) - 1]
+    parent[0] = -1
+    return parent
+
+
 def from_contour(path: DyckPath) -> OrderedTree:
     """The ordered tree whose contour process is the given path.
 
     n up-steps give n non-root vertices; the tree has n+1 vertices.
     """
-    steps = path.steps.tolist()
-    parent = [-1] * (path.n + 1)
-    stack = [0]
-    label = 0
-    for s in steps:
-        if s == 1:
-            label += 1
-            parent[label] = stack[-1]
-            stack.append(label)
-        else:
-            stack.pop()
-    return OrderedTree(np.array(parent, dtype=np.int64), validated=True)
+    return OrderedTree(path)
 
 
 def to_contour(tree: OrderedTree) -> DyckPath:
-    """Exact inverse of from_contour.
-
-    Between the first visits of consecutive preorder vertices the walk
-    descends to the next vertex's parent and steps up once, so the step
-    pattern is determined by the depth sequence alone.
-    """
-    n = tree.size - 1
-    if n == 0:
-        return DyckPath(np.empty(0, dtype=np.int8), validated=True)
-    ht = tree.heights[1:]  # depths of v_1..v_n in label order
-    down = np.empty(n, dtype=np.int64)
-    down[:-1] = ht[:-1] - ht[1:] + 1
-    down[-1] = ht[-1]
-    return DyckPath(steps_from_runs(np.ones(n, dtype=np.int64), down), validated=True)
+    """Exact inverse of from_contour."""
+    return tree._path
 
 
 @dataclass(frozen=True)
@@ -167,18 +163,14 @@ class SubtreeStats:
 
 
 def stats(tree: OrderedTree) -> SubtreeStats:
-    """Heights, fringe sizes, path length, and the xi histogram in O(N).
-
-    Fringe sizes are read off the contour's excursion lengths: the
-    subtree of v_i spans exactly the i-th excursion, whose length is
-    twice the subtree's vertex count.
-    """
+    """Heights, fringe sizes, path length, and the xi histogram, read off
+    the contour and its excursion table."""
     n_vertices = tree.size
     heights = tree.heights
     sizes = np.empty(n_vertices, dtype=np.int64)
     sizes[0] = n_vertices
     if n_vertices > 1:
-        sizes[1:] = excursions(to_contour(tree)).fringe_sizes()
+        sizes[1:] = excursions(tree._path).fringe_sizes()
     ks, counts = np.unique(sizes, return_counts=True)
     xi = {int(k): int(c) for k, c in zip(ks, counts)}
     return SubtreeStats(
@@ -195,7 +187,7 @@ def hat_xi(tree: OrderedTree, k: int) -> int:
         raise RangeError("k must be >= 1")
     if tree.size == 1:
         return 0
-    sizes = excursions(to_contour(tree)).fringe_sizes()
+    sizes = excursions(tree._path).fringe_sizes()
     return int(np.sum(sizes >= k))
 
 

@@ -19,6 +19,7 @@ from pav.perms import (
     max_deficit,
 )
 from pav.rng import substream
+from test_trees import contour_parents, depths_and_sizes
 
 P231 = Permutation([2, 3, 1])
 
@@ -43,7 +44,7 @@ def ancestry_tree(perm: Permutation) -> trees.OrderedTree:
         parent[j] = stack_label[-1]
         stack_label.append(j)
         stack_value.append(val)
-    return trees.OrderedTree(parent, validated=True)
+    return trees.OrderedTree(parent)
 
 
 def tree_route_inverse(perm: Permutation) -> pav.DyckPath:
@@ -177,13 +178,16 @@ class TestTreeFormula:
         assert bij231.tree_formula(t, 1) == 1
 
     def test_matches_forward_everywhere(self):
+        """sigma(i) = i + size - depth, with the tree built by the stack
+        oracle and its sizes and depths counted on the parent list."""
         rng = substream(44)
         for _ in range(20):
             p = pav.sample_uniform(int(rng.integers(1, 120)), rng)
             t = trees.from_contour(p)
+            depth, size = depths_and_sizes(contour_parents(p))
             sigma = bij231.forward(p)
             for i in range(1, p.n + 1):
-                assert bij231.tree_formula(t, i) == sigma(i)
+                assert bij231.tree_formula(t, i) == sigma(i) == i + size[i] - depth[i]
 
     def test_range_check(self):
         t = trees.from_contour(pav.from_text("UUDD"))
@@ -230,17 +234,20 @@ class TestOrderStructure:
 
 class TestPathwiseIdentities:
     def identities_hold(self, p):
+        """Depths and sizes come from the stack oracle's parent list, not
+        from the excursion table that forward reads."""
         sigma = bij231.forward(p)
-        t = trees.from_contour(p)
-        st = trees.stats(t)
+        depth, size = depths_and_sizes(contour_parents(p))
+        st = trees.stats(trees.from_contour(p))
+        assert (st.heights.tolist(), st.fringe_sizes.tolist()) == (depth, size)
         n = p.n
         # max height = 1 + max deficit
         assert pav.max_height(p) == 1 + max_deficit(sigma)
         # i - sigma(i) = height - fringe size, per vertex
         lhs = np.arange(1, n + 1) - sigma.images
-        assert np.array_equal(lhs, st.heights[1:] - st.fringe_sizes[1:])
+        assert np.array_equal(lhs, np.subtract(depth, size)[1:])
         # inversions = path length - |t| + 1
-        assert inversions(sigma) == st.path_length - (n + 1) + 1
+        assert inversions(sigma) == sum(depth) - (n + 1) + 1
 
     def test_exhaustive(self):
         for n in range(1, 7):

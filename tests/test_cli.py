@@ -7,12 +7,14 @@ import json
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pav.cli import main
+from pav.trees import expected_hat_xi
 
 FIG5_IMAGE = "2 1 6 3 10 4 5 7 8 9"
 FIG5_PATH = "UDUUUUDDUUUUDDUDDDDD"
@@ -30,6 +32,16 @@ def run_cli(args, stdin_text=None, capsys=None):
         code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def digits_value(digits):
+    """The int of a decimal digit string of any length, converted in
+    chunks that stay below CPython's int <-> str digit limit."""
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 class TestSample:
@@ -156,6 +168,20 @@ class TestExpect:
         code, out, _ = run_cli(["expect", "limit", "--c", "1", "--alpha", "0.5"], capsys=capsys)
         assert code == 0
         assert abs(float(out) - 0.5641895835477563) < 1e-15
+
+    def test_hat_xi_beyond_4300_digits(self, capsys):
+        """CPython converts at most 4,300 digits of an int to str by default;
+        this numerator has 4,856, and the process limit is left as it was."""
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, err = run_cli(["expect", "hat-xi", "--n", "10000", "--k", "5000"],
+                                 capsys=capsys)
+        assert (code, err) == (0, "")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+        fraction, approx = out.split(" ")
+        num, den = (digits_value(part) for part in fraction.split("/"))
+        exact = expected_hat_xi(10_000, 5000)
+        assert Fraction(num, den) == exact and len(fraction.split("/")[0]) == 4856
+        assert approx == f"({float(exact)!r})\n"
 
     def test_out_of_range_exit_1(self, capsys):
         code, _, err = run_cli(["expect", "xi", "--n", "2", "--k", "9"], capsys=capsys)

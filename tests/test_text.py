@@ -3,6 +3,8 @@ output bytes and the same exception class on random lines and on edge
 tokens.  Integer lines are ASCII decimal digits separated by spaces or
 tabs; anything else is rejected, not coerced."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from pav import cli, trees
 from pav.errors import BadStep
 from pav.perms import Permutation
 from pav.rng import substream
+from test_trees import contour_parents
 
 EDGE_TOKENS = (
     "+1", "1_0", "١٢", "1.5", "x", "99999999999999999999",
@@ -65,7 +68,10 @@ def tree_from_text_oracle(text):
 
 
 def tree_to_text_oracle(path):
-    return " ".join(str(int(p)) for p in trees.from_contour(path).parent[1:])
+    return " ".join(str(p) for p in contour_parents(path)[1:])
+
+
+parse_tree = functools.partial(cli._parse, trees.OrderedTree)
 
 
 _DATA = {pav.DyckPath: "steps", Permutation: "images", trees.OrderedTree: "parent"}
@@ -130,16 +136,16 @@ class TestPermText:
 
 
 class TestTreeText:
-    """The CLI's tree lines: parent labels of v_1..v_N-1."""
+    """Tree lines: parent labels of v_1..v_N-1, parsed as the CLI does."""
 
     @pytest.mark.parametrize("text", ("0 1 1", "0 0", "1", "0 2", *EDGE_LINES))
     def test_edge_lines(self, text):
-        assert outcome(cli._parse_tree, text) == outcome(tree_from_text_oracle, text)
+        assert outcome(parse_tree, text) == outcome(tree_from_text_oracle, text)
 
     @given(lines)
     @settings(max_examples=200, deadline=None)
     def test_parse_matches_oracle(self, text):
-        assert outcome(cli._parse_tree, text) == outcome(tree_from_text_oracle, text)
+        assert outcome(parse_tree, text) == outcome(tree_from_text_oracle, text)
 
     @given(st.integers(1, 500), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -147,4 +153,4 @@ class TestTreeText:
         path = pav.sample_uniform(n, substream(seed))
         text = cli._from_path("tree", path)
         assert text.encode() == tree_to_text_oracle(path).encode()
-        assert trees.to_contour(cli._parse_tree(text)) == path
+        assert trees.to_contour(parse_tree(text)) == path

@@ -3,6 +3,7 @@ expectation formulas."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,6 +18,48 @@ from pav.rng import substream
 
 def random_tree(n, seed):
     return trees.from_contour(pav.sample_uniform(n, substream(seed)))
+
+
+def contour_parents(path):
+    """Oracle: the parent list of the tree whose contour is the path, by
+    one stack pass over the steps."""
+    parent = [-1] * (path.n + 1)
+    stack = [0]
+    label = 0
+    for s in path.steps.tolist():
+        if s == 1:
+            label += 1
+            parent[label] = stack[-1]
+            stack.append(label)
+        else:
+            stack.pop()
+    return parent
+
+
+def preorder_error(parent):
+    """Oracle: the message rejecting a parent list with parent[0] = -1 and
+    0 <= parent[j] < j, or None.  Replays the walk with a stack: each new
+    vertex must attach to the current rightmost path."""
+    stack = [0]
+    for j, pj in enumerate(parent[1:], start=1):
+        while stack and stack[-1] != pj:
+            stack.pop()
+        if not stack:
+            return f"vertex {j} attaches off the rightmost path"
+        stack.append(j)
+    return None
+
+
+def depths_and_sizes(parent):
+    """Oracle: depth and fringe-subtree size of every vertex of a
+    preorder parent list, by one pass each way."""
+    depth = [0] * len(parent)
+    size = [1] * len(parent)
+    for j in range(1, len(parent)):
+        depth[j] = depth[parent[j]] + 1
+    for j in range(len(parent) - 1, 0, -1):
+        size[parent[j]] += size[j]
+    return depth, size
 
 
 class TestContour:
@@ -58,14 +101,55 @@ class TestContour:
 
     def test_heights_match_path(self):
         p = pav.sample_uniform(500, 9)
-        t = trees.from_contour(p)
-        et = pav.excursions(p)
-        assert np.array_equal(t.heights[1:], et.h)
+        depth, _ = depths_and_sizes(contour_parents(p))
+        assert trees.from_contour(p).heights.tolist() == depth
+
+    @given(st.integers(0, 2000), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_parents_match_stack_oracle(self, n, seed):
+        p = pav.sample_uniform(n, substream(seed)) if n else pav.from_text("")
+        parent = contour_parents(p)
+        assert trees.from_contour(p).parent.tolist() == parent
+        assert trees.to_contour(trees.OrderedTree(np.array(parent))) == p
 
     def test_preorder_validation(self):
         with pytest.raises(ValueError):
             trees.OrderedTree([-1, 0, 0, 1])  # v3 attaches off the rightmost path
         trees.OrderedTree([-1, 0, 1, 0])  # valid: path then sibling
+
+    def test_accepts_exactly_the_contour_trees(self):
+        """Of all parent arrays with 0 <= p[j] < j and N <= 7 vertices,
+        the preorder trees are accepted and every other array is rejected
+        with the stack replay's message."""
+        for size in range(1, 8):
+            contours = {tuple(contour_parents(p)): p for p in pav.enumerate_all(size - 1)}
+            for tail in product(*(range(j) for j in range(1, size))):
+                parent = (-1, *tail)
+                message = preorder_error(parent)
+                assert (message is None) == (parent in contours)
+                if message is None:
+                    t = trees.OrderedTree(np.array(parent))
+                    assert t.parent.tolist() == list(parent)
+                    assert trees.to_contour(t) == contours[parent]
+                else:
+                    with pytest.raises(ValueError) as exc:
+                        trees.OrderedTree(np.array(parent))
+                    assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parent", [
+        np.array([-1.0, 0.7, 1.9]), np.array([True, False]), np.array(["-1", "0"]),
+    ], ids=["float", "bool", "str"])
+    def test_non_integer_parents_rejected(self, parent):
+        with pytest.raises(ValueError):
+            trees.OrderedTree(parent)
+
+    def test_caller_array_stays_writable(self):
+        a = np.array([-1, 0, 1])
+        t = trees.OrderedTree(a)
+        a[1] = 0
+        assert t.parent.tolist() == [-1, 0, 1]
+        with pytest.raises(ValueError):
+            t.parent[1] = 0  # the tree's own array is read-only
 
 
 class TestStats:
@@ -74,6 +158,7 @@ class TestStats:
         st_ = trees.stats(t)
         assert st_.path_length == 0
         assert st_.xi == {1: 1}
+        assert trees.hat_xi(t, 1) == 0
 
     def test_hand_tree(self):
         st_ = trees.stats(trees.from_contour(pav.from_text("UUDUDD")))
