@@ -15,7 +15,7 @@ import numpy as np
 from .dyck import DyckPath, excursions, steps_from_runs
 from .errors import IndexOutOfRange, InvalidPath, Not231Avoiding
 from .perms import Permutation
-from .trees import OrderedTree, stats
+from .trees import OrderedTree, to_contour
 
 
 def forward(path: DyckPath) -> Permutation:
@@ -60,5 +60,5 @@ def tree_formula(tree: OrderedTree, i: int) -> int:
     """sigma(i) = i + |fringe subtree of v_i| - depth(v_i), 1 <= i < N."""
     if not 1 <= i <= tree.size - 1:
         raise IndexOutOfRange(f"i={i} outside 1..{tree.size - 1}")
-    st = stats(tree)
-    return i + int(st.fringe_sizes[i]) - int(st.heights[i])
+    et = excursions(to_contour(tree))  # cached on the contour: O(1) after the first call
+    return i + int(et.l[i - 1] >> 1) - int(et.h[i - 1])

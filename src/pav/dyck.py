@@ -37,7 +37,7 @@ class DyckPath:
 
     __slots__ = ("_steps", "_heights", "_excursions")
 
-    def __init__(self, steps, validated: bool = False):
+    def __init__(self, steps):
         if isinstance(steps, DyckPath):
             arr = steps._steps
         elif isinstance(steps, str):
@@ -46,9 +46,18 @@ class DyckPath:
             arr = np.asarray(steps)
             if arr.dtype.kind not in "iu":
                 raise BadStep(f"steps must be integers, not {arr.dtype}")
-        if not validated:
-            _check_steps(arr)
-        arr = owned_array(arr, steps, np.int8)
+        _check_steps(arr)
+        self._adopt(owned_array(arr, steps, np.int8))
+
+    @classmethod
+    def _trusted(cls, steps: np.ndarray) -> "DyckPath":
+        """A copy of steps the library built as a Dyck path, not checked
+        again; for the library's own constructions only."""
+        path = cls.__new__(cls)
+        path._adopt(np.array(steps, dtype=np.int8))
+        return path
+
+    def _adopt(self, arr: np.ndarray) -> None:
         arr.setflags(write=False)
         self._steps = arr
         self._heights = None
@@ -152,7 +161,7 @@ def enumerate_all(n: int):
 
     def rec(pos: int, height: int):
         if pos == 2 * n:
-            yield DyckPath(buf, validated=True)
+            yield DyckPath._trusted(buf)
             return
         ups = (pos + height) // 2
         if ups < n:
@@ -187,7 +196,7 @@ def sample_uniform(n: int, seed) -> DyckPath:
     np.cumsum(prefix, out=prefix)
     k = int(np.argmin(prefix))  # first position attaining the minimum
     rotated = np.roll(arr, -(k + 1))
-    path = DyckPath(rotated[:-1], validated=True)
+    path = DyckPath._trusted(rotated[:-1])
     h = path.heights  # also catches a dropped step other than -1: h[-1] = -2
     if h[-1] != 0 or h.min() < 0:
         raise NotReconstructible("cycle-lemma rotation is not a Dyck path")

@@ -4,7 +4,8 @@ statements into finite-n convergence measurements.
 Each replicate is a pure function of (master seed, n, replicate index),
 so reports are bitwise reproducible at any worker count.  Sup distances
 between the scaled path and the interpolated exceedance functions are
-evaluated exactly at knot unions.  Exact targets come from closed forms:
+exact maxima over the lattice x/(2n), which holds every knot of both,
+swept in cache-sized blocks.  Exact targets come from closed forms:
 the moment oracle's E[sum_x gamma(x)] = (4^n - binom(2n+1, n)) / C_n,
 and the subtree theorem's E[hat_xi_k], summed from the shorter side of
 sum_{j=1}^{n} E[xi_j] = n (each non-root vertex roots one proper fringe
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import bij231, bij321
 from ._version import __version__
-from .dyck import DyckPath, excursions, max_height, sample_uniform, scaled_path
+from .dyck import DyckPath, excursions, max_height, sample_uniform
 from .errors import BadConfig, NotReconstructible, TooLarge
 from .parallel import effective_workers, replicate_map
 from .perms import exceedance_sets, max_deficit, scaled_function
@@ -40,6 +41,25 @@ from .trees import catalan, expected_hat_xi, subtree_size_limit
 # pathwise statistics
 
 
+# Lattice points per block of the coupling sweeps.  Block temporaries this
+# size are reused from the allocator's heap, where full-lattice ones were
+# freshly mapped and faulted in on every call.  At n = 1e5, blocks of 2**11
+# lose to per-block overhead, 2**14 and 2**15 are fastest, and 2**16 brings
+# the page faults back.
+LATTICE_BLOCK = 1 << 14
+
+
+def _lattice_blocks(path: DyckPath):
+    """(lo, hi, G on x in [lo, hi)) over the lattice x = 0..2n in blocks of
+    LATTICE_BLOCK, an even size, so every block starts at an even x.  G is
+    the scaled path: heights / sqrt(2n), the bits of scaled_path(path).y."""
+    den = 2 * path.n
+    scale = np.sqrt(den)
+    for lo in range(0, den + 1, LATTICE_BLOCK):
+        hi = min(lo + LATTICE_BLOCK, den + 1)
+        yield lo, hi, path.heights[lo:hi] / scale
+
+
 def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     """Sup distances between the scaled path and the two exceedance
     interpolations of its 321-avoiding image.
@@ -48,21 +68,23 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     all three tend to zero in probability for uniform paths.
 
     Each value equals the matching sup_distance / sup_sum call bit for
-    bit.  Every knot lies on the lattice x/(2n), x = 0..2n, so the three
-    functions are evaluated there once (ScaledFunction.eval_lattice): G's
-    values are its ordinates, negation is exact, and F_plus + F_minus has
-    its knots at the even points, the union grid of that pair.
+    bit.  Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
+    maxima over that lattice, swept in blocks (ScaledFunction.eval_lattice):
+    G's values are its ordinates, negation is exact, and F_plus + F_minus
+    has its knots at the even points, the union grid of that pair.
     """
     tau = bij321.forward(path)
-    g = scaled_path(path)
-    e_plus, e_minus = exceedance_sets(tau)
-    f_plus = scaled_function(tau, e_plus).eval_lattice(g.t_den)
-    f_minus = scaled_function(tau, e_minus).eval_lattice(g.t_den)
-    return (
-        float(np.max(np.abs(g.y - f_plus))),
-        float(np.max(np.abs(g.y + f_minus))),
-        float(np.max(np.abs(f_plus[::2] + f_minus[::2]))),
-    )
+    den = 2 * path.n
+    f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+    d_plus = d_minus = d_mirror = 0.0
+    for lo, hi, g in _lattice_blocks(path):
+        fp = f_plus.eval_lattice(den, lo, hi)
+        fm = f_minus.eval_lattice(den, lo, hi)
+        mirror = np.add(fp[::2], fm[::2])
+        d_mirror = max(d_mirror, np.abs(mirror, out=mirror).max())
+        d_plus = max(d_plus, np.abs(np.subtract(g, fp, out=fp), out=fp).max())
+        d_minus = max(d_minus, np.abs(np.add(g, fm, out=fm), out=fm).max())
+    return float(d_plus), float(d_minus), float(d_mirror)
 
 
 def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
@@ -80,8 +102,8 @@ def coupling_231(path: DyckPath, index_set) -> float:
     An empty index set degenerates to the anchor-only zero function.
 
     Equals sup_sum(scaled_path(path), f) bit for bit: every knot lies on
-    the lattice x/(2n), where f is evaluated once (eval_lattice), G's
-    values there are its ordinates, and a - (-b) == a + b in IEEE arithmetic.
+    the lattice x/(2n), swept in blocks (eval_lattice), G's values there
+    are its ordinates, and a - (-b) == a + b in IEEE arithmetic.
     """
     sigma = bij231.forward(path)
     index_set = np.asarray(index_set, dtype=np.int64)
@@ -89,8 +111,12 @@ def coupling_231(path: DyckPath, index_set) -> float:
         f = ScaledFunction(np.array([0, path.n]), path.n, np.zeros(2))
     else:
         f = scaled_function(sigma, index_set)
-    g = scaled_path(path)
-    return float(np.max(np.abs(g.y + f.eval_lattice(g.t_den))))
+    den = 2 * path.n
+    d = 0.0
+    for lo, hi, g in _lattice_blocks(path):
+        fv = f.eval_lattice(den, lo, hi)
+        d = max(d, np.abs(np.add(g, fv, out=fv), out=fv).max())
+    return float(d)
 
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:

@@ -4,8 +4,10 @@ Knot positions are stored as integer numerators over a single shared
 denominator, so knots coming from different grids (x/(2n) for scaled
 paths, a/n for exceedance interpolations) never collide or drift when
 two functions are compared: the union grid is formed in integer
-arithmetic and only the ordinates are floating point.  On a whole
-lattice x/den, ScaledFunction.eval_lattice evaluates in O(den).
+arithmetic and only the ordinates are floating point.  On a block
+[lo, hi) of the lattice x/den, ScaledFunction.eval_lattice evaluates in
+O(hi - lo) after one binary search, so a caller can sweep the whole
+lattice in cache-sized blocks.
 """
 
 from __future__ import annotations
@@ -65,31 +67,45 @@ class ScaledFunction:
         query that lands exactly on a knot returns the stored ordinate
         bit-for-bit.
         """
-        own = self._knots_over(den)
+        own = self.t_num * self._scale(den)
         nums = np.asarray(nums, dtype=np.int64)
         if np.any(nums < 0) or np.any(nums > den):
             raise ValueError("query points must lie in [0,1]")
         idx = np.searchsorted(own, nums, side="right") - 1
         idx = np.clip(idx, 0, own.size - 2)
-        return self._interpolate(own, idx, nums.astype(np.float64))
+        return self._interpolate(own, self.y, idx, nums.astype(np.float64))
 
-    def eval_lattice(self, den: int):
-        """eval_rational(np.arange(den + 1), den), bit for bit, in O(den): the
-        segment of a lattice point is the count of interior knots up to it.
+    def eval_lattice(self, den: int, lo: int, hi: int):
+        """eval_rational(np.arange(lo, hi), den), bit for bit, for the block
+        0 <= lo < hi <= den + 1, in O(hi - lo + log len(self)).
+
+        One binary search finds the segment of lo and the last knot before
+        hi; the segment of each later lattice point is that of lo plus the
+        count of interior knots passed on the way, a block-local cumsum.
         """
-        own = self._knots_over(den)
-        idx = np.zeros(den + 1, dtype=np.intp)
-        idx[own[1:-1]] = 1
+        m = self._scale(den)
+        if not 0 <= lo < hi <= den + 1:
+            raise ValueError(f"lattice block [{lo}, {hi}) must lie in 0..{den}")
+        # interior knot t is at or before the lattice point x iff t <= x // m
+        inner = self.t_num[1:-1]
+        first, last = np.searchsorted(inner, (lo // m, (hi - 1) // m), side="right")
+        own = self.t_num[first:last + 2] * m  # knots of the segments first..last
+        idx = np.zeros(hi - lo, dtype=np.intp)
+        idx[own[1:-1] - lo] = 1
         np.cumsum(idx, out=idx)  # x = den lands in the last segment, at w = 1
-        return self._interpolate(own, idx, np.arange(den + 1, dtype=np.float64))
+        x = np.arange(lo, hi, dtype=np.float64)
+        return self._interpolate(own, self.y[first:last + 2], idx, x)
 
-    def _knots_over(self, den: int) -> np.ndarray:
+    def _scale(self, den: int) -> int:
+        """den // t_den: the factor that puts the knots over den."""
         if den % self.t_den != 0:
             raise ValueError("den must be a multiple of the knot denominator")
-        return self.t_num * (den // self.t_den)
+        return den // self.t_den
 
-    def _interpolate(self, own, idx, x):
-        """y0 * (1 - w) + y1 * w at x[i]/den on segment idx[i]; overwrites x.
+    @staticmethod
+    def _interpolate(own, y, idx, x):
+        """y0 * (1 - w) + y1 * w at x[i]/den on segment idx[i], through the
+        knots own/den and ordinates y; overwrites x.
 
         Numerators below 2**53 are exact in float64, so w equals numpy's
         int64 true-divide bit for bit, without its slow casting loop.
@@ -98,10 +114,10 @@ class ScaledFunction:
         buf = own[idx]
         w = np.subtract(x, buf, out=x)
         w /= np.take(np.diff(own), idx, out=buf, mode="clip")  # idx is in range
-        y1 = np.take(self.y[1:], idx, out=buf, mode="clip")
+        y1 = np.take(y[1:], idx, out=buf, mode="clip")
         y1 *= w
         np.subtract(1.0, w, out=w)
-        y0 = self.y[idx]
+        y0 = y[idx]
         y0 *= w
         y0 += y1
         return y0

@@ -69,6 +69,14 @@ class TestValidate:
         with pytest.raises(BadStep):
             pav.DyckPath(steps)
 
+    def test_no_unchecked_public_constructor(self):
+        # DU: balanced +-1 steps that dip below zero at once
+        steps = np.array([-1, 1], dtype=np.int8)
+        with pytest.raises(TypeError):
+            pav.DyckPath(steps, validated=True)
+        with pytest.raises(NegativeExcursion):
+            pav.DyckPath(steps)
+
     def test_empty_path_is_valid(self):
         assert pav.validate("").n == 0
 

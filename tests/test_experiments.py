@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ import pav
 from pav import bij231, parallel
 from pav.errors import BadConfig, TooLarge
 from pav.experiments import (
+    LATTICE_BLOCK,
     REPLICATES,
     ExperimentConfig,
     coupling_231,
@@ -30,6 +32,36 @@ from pav.rng import substream
 from pav.scaled import sup_distance, sup_sum
 
 
+# 2n + 1 lattice points in B - 1, B + 1, 2B - 1 and 2B + 1 (2n + 1 is odd,
+# the block size B even): one point short of a block edge or one past it
+BLOCK_EDGES = [(LATTICE_BLOCK // 2 - 1, 8), (LATTICE_BLOCK // 2, 9),
+               (LATTICE_BLOCK - 1, 10), (LATTICE_BLOCK, 11)]
+
+
+def assert_321_is_public_sups(path):
+    g = pav.scaled_path(path)
+    tau = pav.bij321.forward(path)
+    f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+    want = (sup_distance(g, f_plus), sup_sum(g, f_minus), sup_sum(f_plus, f_minus))
+    assert coupling_321(path) == want
+
+
+def assert_231_is_sup_sum(path, seed):
+    """On the se_set, a random set, the full set and the empty set."""
+    n = path.n
+    g = pav.scaled_path(path)
+    sigma = bij231.forward(path)
+    index_sets = (
+        se_set(path, 1.0, 0.4),
+        random_index_set(n, max(1, n // 3), substream(seed, 1)),
+        np.arange(1, n + 1),
+    )
+    for b in index_sets:
+        assert coupling_231(path, b) == sup_sum(g, scaled_function(sigma, b))
+    zero = pav.ScaledFunction(np.array([0, n]), n, np.zeros(2))
+    assert coupling_231(path, np.array([], dtype=np.int64)) == sup_sum(g, zero)
+
+
 class TestCoupling321:
     def test_smallest_path(self):
         d_plus, d_minus, d_mirror = coupling_321(pav.from_text("UD"))
@@ -44,20 +76,44 @@ class TestCoupling321:
             assert d_plus == pytest.approx(n / math.sqrt(2 * n))
             assert d_mirror == 0.0
 
-    @pytest.mark.parametrize("n,seed", [(1, 0), (7, 1), (300, 2), (2000, 3), (5000, 4)])
+    @pytest.mark.parametrize("n,seed", [
+        (1, 0), (7, 1), (300, 2), (2000, 3), (5000, 4), *BLOCK_EDGES])
     def test_equals_public_sups_bit_for_bit(self, n, seed):
-        path = pav.sample_uniform(n, substream(seed))
-        g = pav.scaled_path(path)
-        tau = pav.bij321.forward(path)
-        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-        want = (sup_distance(g, f_plus), sup_sum(g, f_minus), sup_sum(f_plus, f_minus))
-        assert coupling_321(path) == want
+        assert_321_is_public_sups(pav.sample_uniform(n, substream(seed)))
+
+    def test_equals_public_sups_on_every_small_path(self):
+        for n in range(1, 9):
+            for path in pav.enumerate_all(n):
+                assert_321_is_public_sups(path)
 
     def test_nonnegative_and_finite(self):
         rng = substream(1)
         for _ in range(20):
             vals = coupling_321(pav.sample_uniform(int(rng.integers(1, 300)), rng))
             assert all(0 <= v < 50 for v in vals)
+
+
+def traced_peak_mib(fn) -> float:
+    """Peak of the memory traced while fn runs; numpy reports its buffers
+    to tracemalloc, so the count is deterministic."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestCouplingMemory:
+    def test_no_full_size_lattice_temporaries(self):
+        """At n = 1e5 a lattice-sized float64 array is 1.5 MiB.  Measured
+        peaks are 4.96 (321) and 3.78 MiB (231); full-lattice evaluation
+        peaked at 13.7 and 12.8 MiB."""
+        path = pav.sample_uniform(100_000, substream(0))
+        path.heights, pav.excursions(path)  # cached on the path beforehand
+        b = se_set(path, 1.0, 0.4)
+        assert traced_peak_mib(lambda: coupling_321(path)) < 6.0
+        assert traced_peak_mib(lambda: coupling_231(path, b)) < 5.0
 
 
 class TestSeSet:
@@ -93,20 +149,15 @@ class TestCoupling231:
         p = pav.from_text("UUDD")
         assert coupling_231(p, np.array([], dtype=np.int64)) == pytest.approx(2 / 2)
 
-    @pytest.mark.parametrize("n,seed", [(1, 0), (2, 5), (7, 1), (57, 6), (1000, 2), (5000, 4)])
+    @pytest.mark.parametrize("n,seed", [
+        (1, 0), (2, 5), (7, 1), (57, 6), (1000, 2), (5000, 4), *BLOCK_EDGES])
     def test_equals_sup_sum_bit_for_bit(self, n, seed):
-        path = pav.sample_uniform(n, substream(seed))
-        g = pav.scaled_path(path)
-        sigma = bij231.forward(path)
-        index_sets = (
-            se_set(path, 1.0, 0.4),
-            random_index_set(n, max(1, n // 3), substream(seed, 1)),
-            np.arange(1, n + 1),
-        )
-        for b in index_sets:
-            assert coupling_231(path, b) == sup_sum(g, scaled_function(sigma, b))
-        zero = pav.ScaledFunction(np.array([0, n]), n, np.zeros(2))
-        assert coupling_231(path, np.array([], dtype=np.int64)) == sup_sum(g, zero)
+        assert_231_is_sup_sum(pav.sample_uniform(n, substream(seed)), seed)
+
+    def test_equals_sup_sum_on_every_small_path(self):
+        for n in range(1, 9):
+            for seed, path in enumerate(pav.enumerate_all(n)):
+                assert_231_is_sup_sum(path, seed)
 
 
 class TestRandomIndexSet:

@@ -216,29 +216,54 @@ def knot_functions(draw):
     return ScaledFunction(t_num, t_den, y)
 
 
+def joined_blocks(f, den, cuts):
+    """eval_lattice over the blocks [0, c_1), [c_1, c_2), ..., [c_k, den + 1)."""
+    bounds = [0, *sorted(set(cuts) - {0, den + 1}), den + 1]
+    return np.concatenate([f.eval_lattice(den, lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+
+
 class TestEvalLattice:
-    @given(knot_functions(), st.sampled_from([1, 2, 3]))
+    @given(knot_functions(), st.sampled_from([1, 2, 3]), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_equals_eval_rational_bytes(self, f, mult):
+    def test_equals_eval_rational_bytes(self, f, mult, data):
         den = f.t_den * mult
-        got = f.eval_lattice(den).tobytes()
+        on_knots = data.draw(st.lists(st.sampled_from((f.t_num * mult).tolist()), max_size=8))
+        off_knots = data.draw(st.lists(st.integers(1, den), max_size=8))
         lattice = np.arange(den + 1)
-        assert got == f.eval_rational(lattice, den).tobytes()
-        assert got == eval_rational_int_divide(f, lattice, den).tobytes()
+        want = f.eval_rational(lattice, den).tobytes()
+        assert f.eval_lattice(den, 0, den + 1).tobytes() == want
+        assert joined_blocks(f, den, on_knots + off_knots).tobytes() == want
+        assert want == eval_rational_int_divide(f, lattice, den).tobytes()
+
+    def test_every_block_of_a_small_function(self):
+        f = ScaledFunction([0, 2, 3, 7, 9], 9, [0.0, -1.5, 2.0, 1e-9, 0.0])
+        for den in (9, 18):
+            want = f.eval_rational(np.arange(den + 1), den)
+            for lo in range(den + 1):
+                for hi in range(lo + 1, den + 2):
+                    got = f.eval_lattice(den, lo, hi)
+                    assert got.tobytes() == want[lo:hi].tobytes(), (den, lo, hi)
 
     def test_single_long_segment(self):
         f = ScaledFunction([0, 100_000], 100_000, [-2.5, 0.0])
         for den in (100_000, 300_000):
-            got = f.eval_lattice(den)
+            got = f.eval_lattice(den, 0, den + 1)
             assert got[0] == -2.5 and got[-1] == 0.0
             assert got.tobytes() == f.eval_rational(np.arange(den + 1), den).tobytes()
+            assert joined_blocks(f, den, range(0, den, 8192)).tobytes() == got.tobytes()
 
     def test_den_not_a_multiple(self):
         f = ScaledFunction([0, 2, 3], 3, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="multiple"):
-            f.eval_lattice(4)
+            f.eval_lattice(4, 0, 5)
         with pytest.raises(ValueError, match="multiple"):
             f.eval_rational([0, 4], 4)
+
+    @pytest.mark.parametrize("lo,hi", [(-1, 2), (0, 8), (3, 3), (4, 2)])
+    def test_block_outside_the_lattice(self, lo, hi):
+        f = ScaledFunction([0, 2, 3], 3, [0.0, 1.0, 0.0])
+        with pytest.raises(ValueError, match="lattice block"):
+            f.eval_lattice(6, lo, hi)
 
 
 class TestScaledFunctionConstructor:
