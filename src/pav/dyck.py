@@ -340,8 +340,6 @@ def excursions(path: DyckPath) -> ExcursionTable:
 
 def max_height(path: DyckPath) -> int:
     """M(gamma) = max_x gamma(x)."""
-    if path.n == 0:
-        return 0
     return int(path.heights.max())
 
 

@@ -121,8 +121,6 @@ def coupling_231(path: DyckPath, index_set) -> float:
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:
     """count i.i.d. uniform draws from {1..n}, deduplicated and sorted."""
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
     rng = as_generator(seed)
     return sorted_unique(rng.integers(1, n + 1, size=count))
 

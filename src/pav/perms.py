@@ -165,8 +165,7 @@ def exceedance_sets(perm: Permutation) -> tuple[np.ndarray, np.ndarray]:
     Both contain 0; n always lands in E_minus since pi(n) <= n.
     """
     e = exceedance_process(perm)
-    idx = np.arange(perm.n + 1)
-    return idx[e >= 0], idx[e <= 0]
+    return np.flatnonzero(e >= 0), np.flatnonzero(e <= 0)
 
 
 def scaled_function(perm: Permutation, indices) -> ScaledFunction:
@@ -182,11 +181,10 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
         raise EmptySet("index set must be nonempty")
     if a.min() < 0 or a.max() > n:
         raise IndexOutOfRange("indices must lie in 0..n")
-    e = exceedance_process(perm)
-    y = e[a] / np.sqrt(2 * n)
-    if a[0] != 0:
-        a = np.concatenate(([0], a))
-        y = np.concatenate(([0.0], y))
+    if a[0] == 0:
+        a = a[1:]  # E(0) = 0 is the anchor knot
+    y = np.concatenate(([0.0], (perm.images[a - 1] - a) / np.sqrt(2 * n)))
+    a = np.concatenate(([0], a))
     if a[-1] != n:
         a = np.concatenate((a, [n]))
         y = np.concatenate((y, [0.0]))
@@ -194,41 +192,28 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
 
 
 def inversions(perm: Permutation) -> int:
-    """Number of pairs i < j with pi(j) < pi(i), by merge counting.
+    """Number of pairs i < j with pi(j) < pi(i), one bit of the values at a
+    time, top bit first.  O(n log n).
 
-    Bottom-up merges; cross counts come from searchsorted against the
-    sorted left half, and numpy's stable sort merges the presorted
-    halves in linear time.  O(n log n).
+    At bit k the values v = pi - 1 sit grouped by their higher bits, each
+    group in its original order.  Every lower group is full, so group g
+    fills slots g 2^(k+1) onward.  A pair whose values first differ at
+    bit k is an inversion iff its set-bit value comes first: a cumsum
+    counts the set-bit values before each clear-bit value in its group,
+    and a stable partition on bit k orders the next level.
     """
-    return _merge_count_sorting(perm.images.astype(np.int64))
-
-
-_LEAF = 128
-_triu_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _merge_count_sorting(a: np.ndarray) -> int:
-    """Count inversions of a and sort it in place (helper of inversions)."""
-    if a.size <= _LEAF:
-        c = _brute_count(a)
-        a.sort()
-        return c
-    mid = a.size // 2
-    left, right = a[:mid], a[mid:]
-    c = _merge_count_sorting(left) + _merge_count_sorting(right)
-    c += int(np.sum(left.size - np.searchsorted(left, right, side="right")))
-    a[:] = np.sort(a, kind="stable")  # timsort: merges the two sorted runs
-    return c
-
-
-def _brute_count(a: np.ndarray) -> int:
-    pair = _triu_cache.get(a.size)
-    if pair is None:
-        pair = np.triu_indices(a.size, k=1)
-        if len(_triu_cache) < 256:
-            _triu_cache[a.size] = pair
-    i, j = pair
-    return int(np.sum(a[i] > a[j]))
+    v = perm.images - 1
+    slot = np.arange(v.size)
+    count = 0
+    for k in reversed(range((v.size - 1).bit_length())):
+        bit = (v >> k) & 1
+        before = np.cumsum(bit) - bit  # set-bit values before each slot
+        start = slot & -(2 << k)  # first slot of each slot's group
+        ahead = before - before[start]  # the same, within the group
+        count += int(ahead.sum() - ahead @ bit)  # summed over clear bits
+        dest = np.where(bit == 1, start + (1 << k) + ahead, slot - ahead)
+        v[dest] = v.copy()
+    return count
 
 
 def max_deficit(perm: Permutation) -> int:

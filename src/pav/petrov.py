@@ -26,9 +26,6 @@ import numpy as np
 from .dyck import DyckPath, runs
 from .errors import EmptySample
 
-_I64_MIN = np.iinfo(np.int64).min
-_I64_MAX = np.iinfo(np.int64).max
-
 
 # ---------------------------------------------------------------------------
 # exact threshold arithmetic
@@ -119,31 +116,27 @@ class PetrovReport:
 # sliding-window machinery (vectorized O(n))
 
 
-def _sliding_extreme(x: np.ndarray, width: int, kind: str) -> np.ndarray:
-    """Max or min over every contiguous window of the given width.
+def _sliding_extreme(x: np.ndarray, width: int, op) -> np.ndarray:
+    """op (np.maximum or np.minimum) over every window of `width`
+    consecutive entries, 1 <= width <= x.size.
 
-    Two-block prefix/suffix trick: each window spans at most two blocks
-    of size `width`, so its extreme is the max/min of one suffix run and
-    one prefix run.
+    Two-block prefix/suffix trick: cut x into blocks of `width`; a window
+    is the suffix run of the block holding its start plus the prefix run
+    of the block holding its end.  Both runs lie inside the window, so the
+    padding that fills the last block is never read.
     """
-    op = np.maximum if kind == "max" else np.minimum
-    fill = _I64_MIN if kind == "max" else _I64_MAX
-    length = x.size
-    if width >= length:
-        return np.array([x.max() if kind == "max" else x.min()], dtype=np.int64)
-    pad = (-length) % width
-    xp = np.concatenate([x, np.full(pad, fill, dtype=np.int64)])
-    blocks = xp.reshape(-1, width)
+    blocks = np.concatenate((x, x[: -x.size % width])).reshape(-1, width)
     pre = op.accumulate(blocks, axis=1).ravel()
-    suf = op.accumulate(blocks[:, ::-1], axis=1)[:, ::-1].ravel()
-    nwin = length - width + 1
-    return op(suf[:nwin], pre[width - 1 : width - 1 + nwin])
+    suf = np.empty_like(blocks)
+    op.accumulate(blocks[:, ::-1], axis=1, out=suf[:, ::-1])  # suf stays in x's order
+    nwin = x.size - width + 1
+    return op(suf.ravel()[:nwin], pre[width - 1 : width - 1 + nwin])
 
 
 def _window_range_max(x: np.ndarray, width: int) -> tuple[int, int]:
     """(max over windows of (max-min), window start index achieving it)."""
-    hi = _sliding_extreme(x, width, "max")
-    lo = _sliding_extreme(x, width, "min")
+    hi = _sliding_extreme(x, width, np.maximum)
+    lo = _sliding_extreme(x, width, np.minimum)
     ranges = hi - lo
     w = int(np.argmax(ranges))
     return int(ranges[w]), w
@@ -308,31 +301,20 @@ def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> 
         return values.size == 0 or below(int(values.max()), n, 1, exp)
 
     near = largest_below(n, 1, Fraction(3, 5))  # i < n^0.6 iff i <= near
-    i_arr = np.arange(1, m + 1, dtype=np.int64)
-    edge = (i_arr <= near) | (m - i_arr <= near)
-    y = rd.y
-    y_edge_ok = all_below(y[edge], Fraction(2, 5))
+    y = rd.y  # y_i sits at y[i - 1]: the edge runs are i <= near and i >= m - near
+    y_edge_ok = all_below(np.concatenate((y[:near], y[max(0, m - 1 - near) :])), Fraction(2, 5))
 
     increments_ok = all_below(rd.a, Fraction(9, 50)) and all_below(rd.d, Fraction(9, 50))
-    y_steps = np.abs(np.diff(np.concatenate(([0], y))))
+    y_steps = np.abs(np.diff(y, prepend=0))
     y_increment_ok = all_below(y_steps, Fraction(9, 50))
 
+    # a window of `window` indices in 1..n misses a set iff the set, fenced
+    # by 0 and n + 1, has a gap > window
     window = min_gap_0x3(n)
-    d_set = rd.set_D()
-    if window > n:
-        window_hits_d = window_hits_comp = True
-    else:
-        fenced = np.concatenate(([0], d_set, [n + 1]))
-        max_hole = int(np.max(np.diff(fenced))) - 1  # longest run missing D
-        window_hits_d = max_hole < window
-        if d_set.size == 0:
-            max_streak = 0
-        else:
-            breaks = np.nonzero(np.diff(d_set) != 1)[0]
-            ends = np.concatenate((breaks, [d_set.size - 1]))
-            starts = np.concatenate(([0], breaks + 1))
-            max_streak = int(np.max(ends - starts)) + 1  # longest run inside D
-        window_hits_comp = max_streak < window
+    window_hits_d, window_hits_comp = (
+        int(np.diff(s, prepend=0, append=n + 1).max()) <= window
+        for s in (rd.set_D(), rd.complement_D())
+    )
 
     ok = y_edge_ok and increments_ok and y_increment_ok and window_hits_d and window_hits_comp
     return VoucherReport(

@@ -262,6 +262,20 @@ class TestExperimentCmd:
         )
         assert (code, out) == (1, "") and err.startswith(f"error: {name} must be finite")
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("theorem,reals", [
+        ("thm231", ["--alpha", "1e308"]),  # n ** alpha
+        ("thm231", ["--epsilon", "1e308"]),
+        ("random_index", ["--alpha", "1e308"]),
+        ("random_index", ["--c", "1e308", "--alpha", "1"]),  # int(inf)
+    ])
+    def test_overflowing_real_exit_1(self, capsys, theorem, reals, threads):
+        code, out, err = run_cli(
+            ["experiment", "--theorem", theorem, "--n-grid", "2", "--replicates", "2",
+             "--threads", threads, *reals], capsys=capsys,
+        )
+        assert (code, out) == (1, "") and err.startswith("error:") and "Traceback" not in err
+
     def test_bad_theorem_exit_1(self, capsys):
         code, _, err = run_cli(
             ["experiment", "--theorem", "bogus", "--n-grid", "10"], capsys=capsys

@@ -68,15 +68,6 @@ class TestPermutationType:
         a[0] = 5
         assert p.to_text() == "2 1 3"
 
-    def test_copy_false_adopts_fresh_arrays_but_not_views(self):
-        t, y = np.array([0, 3]), np.array([0.0, 1.0])
-        f = ScaledFunction(t, 3, y, copy=False)
-        assert f.t_num is t and f.y is y and not t.flags.writeable
-        t, y = np.array([0, 3, 9]), np.array([0.0, 1.0, 2.0])
-        g = ScaledFunction(t[:2], 3, y[:2], copy=False)
-        t[0], y[0] = 1, 5.0
-        assert g.t_num.tolist() == [0, 3] and g.y.tolist() == [0.0, 1.0]
-
     def test_accepts_any_integer_dtype(self):
         for dtype in (np.int8, np.uint16, np.int32, np.uint64):
             assert Permutation(np.array([2, 3, 1], dtype=dtype)).to_text() == "2 3 1"
@@ -380,10 +371,23 @@ class TestInversionsAndDeficit:
         perm = Permutation(images)
         assert inversions(perm) == inversions_bruteforce(perm)
 
+    def test_exhaustive_against_bruteforce(self):
+        for n in range(1, 8):
+            for images in permutations(range(1, n + 1)):
+                perm = Permutation(images)
+                assert inversions(perm) == inversions_bruteforce(perm), images
+
     def test_large_against_bruteforce(self):
-        for seed in range(5):
-            perm = random_perm(700, seed)
-            assert inversions(perm) == inversions_bruteforce(perm)
+        # sizes on either side of a power of two: the top bit's one group
+        # is full, nearly full or holds a single set-bit value
+        for n in (127, 128, 129, 700, 1023, 1024, 1025):
+            for seed in range(3):
+                perm = random_perm(n, seed)
+                assert inversions(perm) == inversions_bruteforce(perm), (n, seed)
+
+    def test_reversal(self):
+        n = 10**5
+        assert inversions(Permutation(np.arange(n, 0, -1))) == n * (n - 1) // 2
 
     def test_max_deficit(self):
         assert max_deficit(Permutation.identity(4)) == 0

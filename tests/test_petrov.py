@@ -279,6 +279,17 @@ class TestCheckPetrov:
         assert (ok, wit) == (True, None)
         assert margin == 0.1 * 160**0.6 - 2 == gap_enumeration(series, 66)[2]
 
+    @pytest.mark.parametrize("size", [1, 2, 7, 12, 101])
+    def test_sliding_extreme_matches_window_view(self, size):
+        # widths 1 and size, divisors of the size and widths that leave
+        # the last block padded
+        x = substream(3, size).integers(-50, 50, size=size)
+        for width in range(1, size + 1):
+            view = np.lib.stride_tricks.sliding_window_view(x, width)
+            for op, literal in ((np.maximum, view.max(axis=1)), (np.minimum, view.min(axis=1))):
+                got = petrov._sliding_extreme(x, width, op)
+                assert np.array_equal(got, literal), (size, width, op)
+
     def test_margins_sign_matches_outcome(self):
         p = pav.sample_uniform(400, 5)
         rep = check_petrov(p)
@@ -312,14 +323,19 @@ class TestVoucher:
         assert rep.applicable and not rep.increments_ok and not rep.ok
 
     def test_claims_match_literal_evaluation(self):
-        # force the claims onto random paths, where their outcomes vary, and
-        # evaluate each stated inequality element by element
+        # force the claims onto random and long-run paths, where their
+        # outcomes vary, and evaluate each stated inequality element by
+        # element and each window claim window by window
         holds = PetrovReport(n=0, m=0, cond_a=True, cond_b=True, cond_c=True, cond_d=True)
         rng = substream(99)
         small = (p for n in range(1, 10) for p in pav.enumerate_all(n))
         large = (pav.sample_uniform(int(rng.integers(1, 400)), rng) for _ in range(200))
-        seen = set()
-        for p in itertools.chain(small, large):
+        long_runs = (
+            pav.from_text("UD" * a + "U" * b + "D" * b + "UD" * c)
+            for a in (0, 3, 40) for b in (1, 5, 30) for c in (0, 7, 60)
+        )
+        seen, seen_windows = set(), set()
+        for p in itertools.chain(small, large, long_runs):
             n, rd = p.n, pav.runs(p)
             y = rd.y.tolist()
             rep = check_voucher(p, holds)
@@ -329,8 +345,18 @@ class TestVoucher:
             assert rep.increments_ok == runs_ok
             steps = [abs(b - a) for a, b in zip([0, *y], y)]
             assert rep.y_increment_ok == all(v**50 < n**9 for v in steps)
+            # every window of >= n^0.3 indices in 1..n contains one of the
+            # shortest such windows, so those are the ones to visit
+            width = next(w for w in itertools.count(1) if w**10 >= n**3)
+            windows = [range(s, s + width) for s in range(1, n - width + 2)]
+            d_set = set(rd.D[:-1].tolist())  # {D_1..D_{m-1}}; D_m = n
+            complement = set(range(1, n + 1)) - d_set
+            assert rep.window_hits_d == all(not d_set.isdisjoint(w) for w in windows)
+            assert rep.window_hits_complement == all(not complement.isdisjoint(w) for w in windows)
             seen.add(rep.y_edge_ok)
+            seen_windows.add((rep.window_hits_d, rep.window_hits_complement))
         assert seen == {True, False}
+        assert seen_windows == set(itertools.product((True, False), repeat=2))
 
     @pytest.mark.parametrize("mirrored", [False, True])
     def test_edge_claim_boundary_run(self, mirrored):
