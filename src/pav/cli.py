@@ -95,7 +95,7 @@ def _cmd_stats(args) -> int:
             "n": path.n,
             "max_height": dyck.max_height(path),
             "sigma_231": sigma.to_text(),
-            "inversions": perms.inversions(sigma),
+            "inversions": (int(path.heights.sum()) - path.n) // 2,  # inv(sigma), off the area
             "max_deficit": perms.max_deficit(sigma),
             "path_length": tree_stats.path_length,
             "exceedance_nonneg": int(e_plus.size),

@@ -7,9 +7,9 @@ between the scaled path and the interpolated exceedance functions are
 exact maxima over the lattice x/(2n), which holds every knot of both,
 swept in cache-sized blocks.  Exact targets come from closed forms:
 the moment oracle's E[sum_x gamma(x)] = (4^n - binom(2n+1, n)) / C_n,
-and the subtree theorem's E[hat_xi_k], summed from the shorter side of
-sum_{j=1}^{n} E[xi_j] = n (each non-root vertex roots one proper fringe
-subtree).  Limit constants enter only through the acceptance tests.
+and the subtree theorem's E[hat_xi_k] = k (2n+3-2k) T_k / (2 (n+1) C_n)
+- 1/2 with T_k = C_{k-1} binom(2(n+1-k), n+1-k), its tail sum
+telescoped.  Limit constants enter only through the acceptance tests.
 """
 
 from __future__ import annotations
@@ -272,6 +272,18 @@ class ExperimentConfig:
         for name, value in reals.items():
             if not math.isfinite(value):
                 raise BadConfig(f"{name} must be finite, not {value!r}")
+        n, alpha = grid[-1], reals["alpha"]  # an overflow anywhere in the grid shows at its top
+        for name, formula, power in (
+            ("alpha", "n**alpha", lambda: n**alpha),
+            ("c", "c * n**alpha", lambda: reals["c"] * n**alpha),
+            ("epsilon", "n**(0.75 + epsilon)", lambda: n ** (0.75 + reals["epsilon"])),
+        ):
+            try:
+                overflow = not math.isfinite(power())
+            except OverflowError:
+                overflow = True
+            if overflow:
+                raise BadConfig(f"{name}={reals[name]!r} makes {formula} overflow at n={n}")
         return dataclasses.replace(
             self, n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
             keep_raw=bool(self.keep_raw), **reals,

@@ -285,16 +285,15 @@ def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> 
     """
     if petrov_report is None:
         petrov_report = check_petrov(path)
-    n = path.n
-    rd = runs(path)
-    m = rd.m
-
     if not petrov_report.all_hold:
         return VoucherReport(
             applicable=False, vacuous=True, ok=True,
             y_edge_ok=True, increments_ok=True, y_increment_ok=True,
             window_hits_d=True, window_hits_complement=True,
         )
+    n = path.n
+    rd = runs(path)
+    m = rd.m
 
     # every claim is v < threshold, monotone in v: one test on each max
     def all_below(values, exp):

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyck import DyckPath, excursions, steps_from_runs
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, TooLarge
 from .perms import ints_from_text
 
 
@@ -198,54 +198,53 @@ def catalan(n: int) -> int:
     return math.comb(2 * n, n) // (n + 1)
 
 
-def expected_xi(n: int, k: int) -> Fraction:
-    """Exact E[xi_k] for a uniform ordered tree with n+1 vertices.
+EXACT_LIMIT = 10**7  # the exact formulas sieve the primes up to 2n: O(n) memory
 
-    Formula: C_{k-1} * binom(2(n+1-k), n+1-k) / (2 C_n), plus 1/2 when
-    k = n+1 (the whole tree).  Valid for 1 <= k <= n+1.
-    """
-    if not 1 <= k <= n + 1:
-        raise RangeError(f"k={k} outside 1..{n + 1}")
+
+def _subtree_ratio(n: int, k: int) -> Fraction:
+    """T_k / C_n, T_k = C_{k-1} binom(2r, r), r = n+1-k: the factorial ratio
+    (2k-2)! (2r)! n! (n+1)! / ((k-1)! k! (r!)^2 (2n)!) from each prime's
+    exponent by Legendre's formula, so no big binomial is formed."""
+    if n < 0 or not 1 <= k <= n + 1:
+        raise RangeError(f"n={n}, k={k}: need n >= 0 and 1 <= k <= n + 1")
+    if n > EXACT_LIMIT:
+        raise TooLarge(f"n={n} exceeds exact-formula guard {EXACT_LIMIT}")
     r = n + 1 - k
-    val = Fraction(catalan(k - 1) * math.comb(2 * r, r), 2 * catalan(n))
-    if k == n + 1:
-        val += Fraction(1, 2)
-    return val
+    sieve = np.ones(2 * n + 1, dtype=bool)
+    for p in range(2, math.isqrt(2 * n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)[2:]  # not 0 and 1
+    exp = np.zeros_like(primes)
+    for m, sign in ((2 * k - 2, 1), (2 * r, 1), (n, 1), (n + 1, 1),
+                    (k - 1, -1), (k, -1), (r, -2), (2 * n, -1)):
+        q = m // primes
+        while q.size:  # m // p^i falls as p grows: keep the nonzero prefix
+            q = q[: np.count_nonzero(q)]
+            exp[: q.size] += sign * q
+            q //= primes[: q.size]
+    return Fraction(_product(primes, exp), _product(primes, -exp))
+
+
+def _product(primes: np.ndarray, exp: np.ndarray) -> int:
+    """prod p^e over the positive e, in pairwise rounds (a running product is quadratic)."""
+    factors = [p**e for p, e in zip(primes[exp > 0].tolist(), exp[exp > 0].tolist())]
+    while len(factors) > 1:
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2] + [1])]
+    return math.prod(factors)
+
+
+def expected_xi(n: int, k: int) -> Fraction:
+    """Exact E[xi_k] = T_k / (2 C_n) for a uniform ordered tree with n+1
+    vertices, plus 1/2 at k = n+1 (the whole tree).  1 <= k <= n+1."""
+    return _subtree_ratio(n, k) / 2 + (Fraction(1, 2) if k == n + 1 else 0)
 
 
 def expected_hat_xi(n: int, k: int) -> Fraction:
     """Exact E[hat_xi_k] = sum_{j=k}^{n} E[xi_j] (proper subtrees only).
-
-    Every non-root vertex roots exactly one proper fringe subtree, so
-    sum_{j=1}^{n} E[xi_j] = n, i.e. sum_{j=1}^{n} T_j = 2n C_n with
-    T_j = C_{j-1} * binom(2(n+1-j), n+1-j).  The sum is therefore taken
-    over the shorter side: the head j < k, subtracted from 2n C_n, or the
-    tail j >= k.  T_j is carried as one big integer and updated by one
-    small-factor multiply/divide per term: O(min(k, n - k)) updates of
-    ~2n-bit numbers, plus the one binom(2n, n) that gives both T_1 and C_n.
-    """
-    if not 1 <= k <= n + 1:
-        raise RangeError(f"k={k} outside 1..{n + 1}")
-    if k == n + 1:
-        return Fraction(0)
-    binom_n = math.comb(2 * n, n)
-    c_n = binom_n // (n + 1)
-    head = k - 1 < n - k + 1
-    if head:
-        first, last, term = 1, k - 1, binom_n  # T_1 = C_0 binom(2n, n)
-    else:
-        first, last = k, n
-        term = catalan(k - 1) * math.comb(2 * (n + 1 - k), n + 1 - k)
-    total = 0
-    r = n + 1 - first
-    for j in range(first, last + 1):
-        total += term
-        # C_j / C_{j-1} = 2(2j-1)/(j+1);  binom(2r-2,r-1)/binom(2r,r) = r/(2(2r-1))
-        term = term * ((2 * j - 1) * r) // ((j + 1) * (2 * r - 1))
-        r -= 1
-    if head:
-        total = 2 * n * c_n - total
-    return Fraction(total, 2 * c_n)
+    The sum telescopes (Gosper; Petkovsek, Wilf and Zeilberger, A = B,
+    1996, ch. 5): sum_{j=k}^{n} T_j = k (2n+3-2k) T_k / (n+1) - C_n."""
+    return _subtree_ratio(n, k) * Fraction(k * (2 * n + 3 - 2 * k), 2 * (n + 1)) - Fraction(1, 2)
 
 
 def expected_hat_xi_float(n: int, k: int) -> float:

@@ -13,8 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pav import bij231, dyck, perms
 from pav.cli import main
-from pav.trees import expected_hat_xi
+from pav.rng import substream
+from pav.trees import EXACT_LIMIT, expected_hat_xi
 
 FIG5_IMAGE = "2 1 6 3 10 4 5 7 8 9"
 FIG5_PATH = "UDUUUUDDUUUUDDUDDDDD"
@@ -155,6 +157,16 @@ class TestCheck:
         assert code == 0 and out == "1 2 3\n"
 
 
+class TestStats:
+    @pytest.mark.parametrize("n", [1, 2, 7, 300])
+    def test_inversions_match_the_count(self, capsys, n):
+        paths = [dyck.sample_uniform(n, substream(11, n, i)) for i in range(5)]
+        code, out, _ = run_cli(["stats", *(p.to_text() for p in paths)], capsys=capsys)
+        assert code == 0
+        counts = [json.loads(line)["inversions"] for line in out.splitlines()]
+        assert counts == [perms.inversions(bij231.forward(p)) for p in paths]
+
+
 class TestExpect:
     def test_xi_value(self, capsys):
         code, out, _ = run_cli(["expect", "xi", "--n", "2", "--k", "1"], capsys=capsys)
@@ -186,6 +198,17 @@ class TestExpect:
     def test_out_of_range_exit_1(self, capsys):
         code, _, err = run_cli(["expect", "xi", "--n", "2", "--k", "9"], capsys=capsys)
         assert code == 1
+
+    @pytest.mark.parametrize("quantity", ["xi", "hat-xi"])
+    def test_negative_n_named(self, capsys, quantity):
+        code, out, err = run_cli(["expect", quantity, "--n", "-3", "--k", "1"], capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith("error: n=-3, ")
+
+    @pytest.mark.parametrize("quantity", ["xi", "hat-xi"])
+    def test_beyond_size_guard_exit_1(self, capsys, quantity):
+        n = str(EXACT_LIMIT + 1)
+        code, out, err = run_cli(["expect", quantity, "--n", n, "--k", "1"], capsys=capsys)
+        assert (code, out) == (1, "") and err.startswith(f"error: n={n} exceeds ")
 
     @pytest.mark.parametrize("c", ["nan", "inf"])
     def test_limit_non_finite_c_exit_1(self, capsys, c):
@@ -274,7 +297,8 @@ class TestExperimentCmd:
             ["experiment", "--theorem", theorem, "--n-grid", "2", "--replicates", "2",
              "--threads", threads, *reals], capsys=capsys,
         )
-        assert (code, out) == (1, "") and err.startswith("error:") and "Traceback" not in err
+        named = f"error: {reals[0][2:]}=1e+308 makes "  # the first option overflows
+        assert (code, out) == (1, "") and err.startswith(named) and "Traceback" not in err
 
     def test_bad_theorem_exit_1(self, capsys):
         code, _, err = run_cli(

@@ -333,6 +333,19 @@ class TestHarness:
         with pytest.raises(BadConfig, match=field):
             ExperimentConfig(**kwargs).validated()
 
+    @pytest.mark.parametrize("reals,message", [
+        ({"alpha": 1e308}, "alpha=1e+308 makes n**alpha overflow at n=10"),
+        ({"c": 1e308, "alpha": 1.0}, "c=1e+308 makes c * n**alpha overflow at n=10"),
+        ({"c": -1e308, "alpha": 1.0}, "c=-1e+308 makes c * n**alpha overflow at n=10"),
+        ({"epsilon": 1e308}, "epsilon=1e+308 makes n**(0.75 + epsilon) overflow at n=10"),
+    ])
+    def test_rejects_overflowing_reals_by_name(self, reals, message):
+        config = ExperimentConfig(theorem_id="thm231", n_grid=(2, 10), replicates=2, seed=1,
+                                  **reals)
+        with pytest.raises(BadConfig) as exc:
+            config.validated()
+        assert str(exc.value) == message
+
     def test_report_schema(self):
         cfg = ExperimentConfig(theorem_id="thm321", n_grid=(100,), replicates=3, seed=7)
         report = run_experiment(cfg)

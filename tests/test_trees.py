@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import pav
 from pav import trees
-from pav.errors import DomainError, RangeError
+from pav.errors import DomainError, RangeError, TooLarge
 from pav.rng import substream
 
 
@@ -213,6 +213,24 @@ def enumeration_mean_xi(n, k):
     return Fraction(total, count)
 
 
+def expected_xi_binomials(n, k):
+    """Oracle: C_{k-1} * binom(2r, r) / (2 C_n), r = n+1-k, from big
+    binomials, plus 1/2 for the whole tree at k = n+1."""
+    r = n + 1 - k
+    whole = Fraction(1, 2) if k == n + 1 else 0
+    return Fraction(trees.catalan(k - 1) * math.comb(2 * r, r), 2 * trees.catalan(n)) + whole
+
+
+@st.composite
+def n_and_k(draw):
+    n = draw(st.integers(1, 3000))
+    k = draw(st.one_of(
+        st.sampled_from([1, n // 2 - 1, n // 2, n // 2 + 1, n, n + 1]),
+        st.integers(1, n + 1),
+    ))
+    return n, min(max(k, 1), n + 1)
+
+
 class TestExpectedXi:
     def test_spec_values_n2(self):
         assert trees.expected_xi(2, 1) == Fraction(3, 2)
@@ -234,6 +252,19 @@ class TestExpectedXi:
         with pytest.raises(RangeError):
             trees.expected_xi(4, 6)
 
+    def test_binomials_exhaustive(self):
+        for n in range(60):
+            for k in range(1, n + 2):
+                assert trees.expected_xi(n, k) == expected_xi_binomials(n, k), (n, k)
+
+    @given(n_and_k())
+    @example((3000, 1)).via("k = 1")
+    @example((2999, 1500)).via("odd n, k - 1 = n - k")
+    @example((3000, 3001)).via("k = n + 1")
+    @settings(max_examples=150, deadline=None)
+    def test_binomial_property(self, nk):
+        assert trees.expected_xi(*nk) == expected_xi_binomials(*nk)
+
 
 def expected_hat_xi_tail(n, k):
     """Oracle: the tail sum sum_{j=k}^{n} E[xi_j] term by term, with the
@@ -252,21 +283,51 @@ def expected_hat_xi_tail(n, k):
     return Fraction(total, 2 * trees.catalan(n))
 
 
-@st.composite
-def n_and_k(draw):
-    n = draw(st.integers(1, 3000))
-    k = draw(st.one_of(
-        st.sampled_from([1, n // 2 - 1, n // 2, n // 2 + 1, n, n + 1]),
-        st.integers(1, n + 1),
-    ))
-    return n, min(max(k, 1), n + 1)
+def expected_hat_xi_shorter(n, k):
+    """Oracle: the same sum taken over its shorter side.  Every non-root
+    vertex roots one proper fringe subtree, so sum_{j=1}^{n} T_j = 2n C_n
+    with T_j = C_{j-1} * binom(2(n+1-j), n+1-j): the head j < k is summed
+    and subtracted from 2n C_n when it is shorter than the tail j >= k
+    (O(min(k, n - k)) term updates)."""
+    if k == n + 1:
+        return Fraction(0)
+    binom_n = math.comb(2 * n, n)
+    c_n = binom_n // (n + 1)
+    head = k - 1 < n - k + 1
+    if head:
+        first, last, term = 1, k - 1, binom_n  # T_1 = C_0 binom(2n, n)
+    else:
+        first, last = k, n
+        term = trees.catalan(k - 1) * math.comb(2 * (n + 1 - k), n + 1 - k)
+    total = 0
+    r = n + 1 - first
+    for j in range(first, last + 1):
+        total += term
+        term = term * ((2 * j - 1) * r) // ((j + 1) * (2 * r - 1))
+        r -= 1
+    if head:
+        total = 2 * n * c_n - total
+    return Fraction(total, 2 * c_n)
+
+
+class TestExactFormulaGuards:
+    @pytest.mark.parametrize("fn", [trees.expected_xi, trees.expected_hat_xi])
+    def test_negative_n_named(self, fn):
+        with pytest.raises(RangeError, match="n=-3"):
+            fn(-3, 1)
+
+    @pytest.mark.parametrize("fn", [trees.expected_xi, trees.expected_hat_xi])
+    def test_size_guard(self, fn):
+        with pytest.raises(TooLarge, match=str(trees.EXACT_LIMIT)):
+            fn(trees.EXACT_LIMIT + 1, 1)
 
 
 class TestExpectedHatXi:
     def test_oracle_exhaustive(self):
         for n in range(60):
             for k in range(1, n + 2):
-                assert trees.expected_hat_xi(n, k) == expected_hat_xi_tail(n, k), (n, k)
+                exact = trees.expected_hat_xi(n, k)
+                assert exact == expected_hat_xi_tail(n, k) == expected_hat_xi_shorter(n, k), (n, k)
 
     @given(n_and_k())
     @example((3000, 1)).via("k = 1")
@@ -276,14 +337,16 @@ class TestExpectedHatXi:
     @example((3000, 3001)).via("k = n + 1")
     @settings(max_examples=150, deadline=None)
     def test_oracle_property(self, nk):
-        assert trees.expected_hat_xi(*nk) == expected_hat_xi_tail(*nk)
+        exact = trees.expected_hat_xi(*nk)
+        assert exact == expected_hat_xi_tail(*nk) == expected_hat_xi_shorter(*nk)
 
     def test_oracle_at_a09_points(self):
-        # One O(n) oracle sum; the next point drops its first term, E[xi_100].
+        # The shorter-side oracle: the tail oracle needs O(n - k) updates here.
         n = 100_000
-        at_100 = expected_hat_xi_tail(n, 100)
-        assert trees.expected_hat_xi(n, 100) == at_100
-        assert trees.expected_hat_xi(n, 101) == at_100 - trees.expected_xi(n, 100)
+        oracle = {k: expected_hat_xi_shorter(n, k) for k in (100, 101, 31623, 50000)}
+        for k, value in oracle.items():
+            assert trees.expected_hat_xi(n, k) == value, k
+        assert trees.expected_xi(n, 100) == oracle[100] - oracle[101]
 
     def test_spec_values_n2(self):
         assert trees.expected_hat_xi(2, 1) == 2
