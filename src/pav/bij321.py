@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyck import DyckPath, RunDecomposition, runs, steps_from_runs, validate
+from .dyck import DyckPath, runs, steps_from_runs, validate
 from .errors import Not321Avoiding, NotReconstructible
 from .perms import Permutation, avoids_321
 from .petrov import below, check_petrov
@@ -23,10 +23,6 @@ from .petrov import below, check_petrov
 def forward(path: DyckPath) -> Permutation:
     """Map a Dyck path of semilength n >= 1 to its 321-avoiding image."""
     rd = runs(path)
-    return _forward_from_runs(rd)
-
-
-def _forward_from_runs(rd: RunDecomposition) -> Permutation:
     tau = np.empty(rd.n, dtype=np.int64)
     tau[rd.set_D() - 1] = 1 + rd.set_A()
     tau[rd.complement_D() - 1] = rd.complement_A()  # both ascending
@@ -95,7 +91,7 @@ def coupling_bounds(path: DyckPath, petrov_report=None) -> CouplingReport:
     """
     rd = runs(path)
     n = rd.n
-    tau = _forward_from_runs(rd).images
+    tau = forward(path).images
     gamma = path.heights
     idx = np.arange(1, n + 1, dtype=np.int64)
     in_d = np.zeros(n + 1, dtype=bool)

@@ -89,15 +89,15 @@ def _cmd_stats(args) -> int:
     for text in _inputs(args):
         path = _to_path(getattr(args, "as"), text)
         sigma = bij231.forward(path)
-        tree_stats = trees.stats(trees.from_contour(path))
+        inversions = (int(path.heights.sum()) - path.n) // 2  # inv(sigma), off the area
         e_plus, e_minus = perms.exceedance_sets(sigma)
         print(json.dumps({
             "n": path.n,
             "max_height": dyck.max_height(path),
             "sigma_231": sigma.to_text(),
-            "inversions": (int(path.heights.sum()) - path.n) // 2,  # inv(sigma), off the area
+            "inversions": inversions,
             "max_deficit": perms.max_deficit(sigma),
-            "path_length": tree_stats.path_length,
+            "path_length": inversions + path.n,  # the tree's summed depths, (area + n) / 2
             "exceedance_nonneg": int(e_plus.size),
             "exceedance_nonpos": int(e_minus.size),
         }, sort_keys=True))

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import (
     BadStep,
     EmptySet,
+    InvalidPath,
     NegativeExcursion,
     NotBalanced,
     NotReconstructible,
@@ -22,7 +23,7 @@ from .errors import (
     TooLarge,
 )
 from .rng import as_generator
-from .scaled import ScaledFunction, owned_array
+from .scaled import ScaledFunction
 
 _STEP_CHARS = frozenset("UD")
 
@@ -30,37 +31,41 @@ _STEP_CHARS = frozenset("UD")
 class DyckPath:
     """Immutable Dyck path.
 
-    Steps are held as a read-only int8 array of +1/-1; the height profile
-    gamma(0..2n) and the excursion table are computed once on demand and
-    cached.
+    The constructor is the one way to build a path, from a U/D string,
+    an integer sequence or another path: it copies its input, checks it
+    and freezes it.  Steps are held as a read-only int8 array of +1/-1
+    beside the height profile gamma(0..2n) the check computes; the run
+    and excursion tables are computed once on demand and cached.
     """
 
-    __slots__ = ("_steps", "_heights", "_excursions")
+    __slots__ = ("_steps", "_heights", "_runs", "_excursions")
 
     def __init__(self, steps):
-        if isinstance(steps, DyckPath):
-            arr = steps._steps
-        elif isinstance(steps, str):
+        if isinstance(steps, str):
             arr = _steps_from_text(steps)
         else:
-            arr = np.asarray(steps)
+            arr = np.asarray(steps._steps if isinstance(steps, DyckPath) else steps)
             if arr.dtype.kind not in "iu":
                 raise BadStep(f"steps must be integers, not {arr.dtype}")
-        _check_steps(arr)
-        self._adopt(owned_array(arr, steps, np.int8))
-
-    @classmethod
-    def _trusted(cls, steps: np.ndarray) -> "DyckPath":
-        """A copy of steps the library built as a Dyck path, not checked
-        again; for the library's own constructions only."""
-        path = cls.__new__(cls)
-        path._adopt(np.array(steps, dtype=np.int8))
-        return path
-
-    def _adopt(self, arr: np.ndarray) -> None:
-        arr.setflags(write=False)
-        self._steps = arr
-        self._heights = None
+        if arr.ndim != 1:
+            raise BadStep("steps must be a 1-d sequence")
+        if arr.size % 2 != 0:
+            raise OddLength(f"length {arr.size} is odd")
+        if not np.all(np.abs(arr) == 1):
+            raise BadStep("steps must be +1 or -1")
+        h = np.zeros(arr.size + 1, dtype=np.int64)
+        h[1:] = arr  # cast first: an int8 -> int64 cumsum is 2.5x slower
+        np.cumsum(h, out=h)
+        if h[-1] != 0:
+            raise NotBalanced(f"endpoint height {int(h[-1])} != 0")
+        if h.min() < 0:
+            x = int(np.argmax(h < 0))
+            raise NegativeExcursion(f"gamma({x}) = {int(h[x])} < 0")
+        self._steps = np.array(arr, dtype=np.int8)
+        self._steps.setflags(write=False)
+        h.setflags(write=False)
+        self._heights = h
+        self._runs = None
         self._excursions = None
 
     @property
@@ -75,12 +80,6 @@ class DyckPath:
     @property
     def heights(self) -> np.ndarray:
         """gamma(x) for x = 0..2n (int64, read-only)."""
-        if self._heights is None:
-            h = np.zeros(self._steps.size + 1, dtype=np.int64)
-            h[1:] = self._steps  # cast first: an int8 -> int64 cumsum is 2.5x slower
-            np.cumsum(h, out=h)
-            h.setflags(write=False)
-            self._heights = h
         return self._heights
 
     def to_text(self) -> str:
@@ -111,22 +110,6 @@ def _steps_from_text(text: str) -> np.ndarray:
         raise BadStep(f"unexpected step characters: {sorted(bad)!r}")
     codes = np.frombuffer(text.encode(), dtype=np.uint8)
     return np.where(codes == ord("U"), 1, -1).astype(np.int8)
-
-
-def _check_steps(arr: np.ndarray) -> None:
-    if arr.ndim != 1:
-        raise BadStep("steps must be a 1-d sequence")
-    if arr.size % 2 != 0:
-        raise OddLength(f"length {arr.size} is odd")
-    if arr.size and not np.all(np.abs(arr) == 1):
-        raise BadStep("steps must be +1 or -1")
-    heights = arr.astype(np.int64)
-    np.cumsum(heights, out=heights)
-    if arr.size and heights[-1] != 0:
-        raise NotBalanced(f"endpoint height {int(heights[-1])} != 0")
-    if arr.size and heights.min() < 0:
-        x = int(np.argmax(heights < 0)) + 1
-        raise NegativeExcursion(f"gamma({x}) = {int(heights[x - 1])} < 0")
 
 
 def validate(steps) -> DyckPath:
@@ -161,7 +144,7 @@ def enumerate_all(n: int):
 
     def rec(pos: int, height: int):
         if pos == 2 * n:
-            yield DyckPath._trusted(buf)
+            yield DyckPath(buf)
             return
         ups = (pos + height) // 2
         if ups < n:
@@ -196,11 +179,10 @@ def sample_uniform(n: int, seed) -> DyckPath:
     np.cumsum(prefix, out=prefix)
     k = int(np.argmin(prefix))  # first position attaining the minimum
     rotated = np.roll(arr, -(k + 1))
-    path = DyckPath._trusted(rotated[:-1])
-    h = path.heights  # also catches a dropped step other than -1: h[-1] = -2
-    if h[-1] != 0 or h.min() < 0:
-        raise NotReconstructible("cycle-lemma rotation is not a Dyck path")
-    return path
+    try:
+        return DyckPath(rotated[:-1])
+    except InvalidPath as exc:  # also a dropped step other than -1
+        raise NotReconstructible(f"cycle-lemma rotation is not a Dyck path: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -261,7 +243,9 @@ def steps_from_runs(up, down) -> np.ndarray:
 
 
 def runs(path: DyckPath) -> RunDecomposition:
-    """Run-length decomposition of a nonempty path."""
+    """Run-length decomposition of a nonempty path, cached on it read-only."""
+    if path._runs is not None:
+        return path._runs
     steps = path.steps
     if steps.size == 0:
         raise EmptySet("runs are undefined for the empty path")
@@ -272,9 +256,11 @@ def runs(path: DyckPath) -> RunDecomposition:
     # runs strictly alternate U,D,U,D,... with an even count.
     a = lengths[0::2]
     d = lengths[1::2]
-    A = np.cumsum(a)
-    D = np.cumsum(d)
-    return RunDecomposition(n=path.n, a=a, d=d, A=A, D=D)
+    rd = RunDecomposition(n=path.n, a=a, d=d, A=np.cumsum(a), D=np.cumsum(d))
+    for arr in (rd.a, rd.d, rd.A, rd.D):
+        arr.setflags(write=False)
+    path._runs = rd
+    return rd
 
 
 @dataclass(frozen=True)
@@ -354,5 +340,4 @@ def scaled_path(path: DyckPath) -> ScaledFunction:
         np.arange(two_n + 1, dtype=np.int64),
         two_n,
         path.heights / np.sqrt(two_n),
-        copy=False,
     )

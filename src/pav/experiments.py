@@ -218,7 +218,7 @@ def _thm231(n: int, stream, cfg) -> dict[str, float]:
 
 def _random_index(n: int, stream, cfg) -> dict[str, float]:
     path = sample_uniform(n, stream)
-    b = random_index_set(n, max(1, int(cfg.c * n**cfg.alpha)), stream)
+    b = random_index_set(n, int(cfg.c * n**cfg.alpha), stream)
     return {"coupling": coupling_231(path, b), "index_count": float(b.size)}
 
 
@@ -284,6 +284,10 @@ class ExperimentConfig:
                 overflow = True
             if overflow:
                 raise BadConfig(f"{name}={reals[name]!r} makes {formula} overflow at n={n}")
+        if self.theorem_id in ("subtree", "random_index"):  # floor(c n^alpha) is a count
+            for size in grid:
+                if (k := int(reals["c"] * size**alpha)) < 1:
+                    raise BadConfig(f"threshold floor(c*n^alpha) = {k} < 1 at n={size}")
         return dataclasses.replace(
             self, n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
             keep_raw=bool(self.keep_raw), **reals,
@@ -350,9 +354,7 @@ def _subtree_rows(config: ExperimentConfig) -> list:
     rows = []
     limit = subtree_size_limit(config.c, config.alpha)
     for n in config.n_grid:
-        k = int(config.c * n**config.alpha)
-        if k < 1:
-            raise BadConfig(f"threshold floor(c*n^alpha) = {k} < 1 at n={n}")
+        k = int(config.c * n**config.alpha)  # >= 1: validated
         ratio = float(expected_hat_xi(n, k)) / n ** (1.0 - config.alpha / 2.0)
         for stat, val in (
             ("hat_xi_ratio", ratio),

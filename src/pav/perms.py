@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import EmptySet, IndexOutOfRange
-from .scaled import ScaledFunction, owned_array, sorted_unique
+from .scaled import ScaledFunction, sorted_unique
 
 
 def ints_from_text(text: str) -> np.ndarray:
@@ -25,7 +25,8 @@ def ints_from_text(text: str) -> np.ndarray:
 
 
 class Permutation:
-    """Immutable permutation of {1..n}, n >= 1."""
+    """Immutable permutation of {1..n}, n >= 1.  The constructor copies
+    its input, checks it and freezes the copy."""
 
     __slots__ = ("_images",)
 
@@ -42,7 +43,7 @@ class Permutation:
             raise ValueError("need a nonempty 1-d image sequence")
         if arr.min() < 1 or arr.max() > arr.size:
             raise ValueError("images must be a bijection on 1..n")
-        arr = owned_array(arr, images, np.int64)
+        arr = np.array(arr, dtype=np.int64)
         seen = np.zeros(arr.size + 1, dtype=bool)
         seen[arr] = True
         if not seen[1:].all():
@@ -188,7 +189,7 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
     if a[-1] != n:
         a = np.concatenate((a, [n]))
         y = np.concatenate((y, [0.0]))
-    return ScaledFunction(a, n, y, copy=False)
+    return ScaledFunction(a, n, y)
 
 
 def inversions(perm: Permutation) -> int:

@@ -21,21 +21,20 @@ class ScaledFunction:
     """Linear interpolation through knots (t_num[i]/t_den, y[i]).
 
     Invariants: t_num is strictly increasing, starts at 0 and ends at
-    t_den, so the function is total on [0,1].
+    t_den, so the function is total on [0,1].  The constructor is the one
+    way in: it copies both arrays, checks them and freezes the copies.
     """
 
     __slots__ = ("t_num", "t_den", "y")
 
-    def __init__(self, t_num, t_den: int, y, copy: bool = True):
-        """Arrays still the caller's are copied; copy=False adopts fresh arrays
-        the caller drops (two copies double scaled_path's cost)."""
+    def __init__(self, t_num, t_den: int, y):
         knots = np.asarray(t_num)
         if knots.dtype.kind not in "iu" or not isinstance(t_den, (int, np.integer)):
             raise ValueError("knot numerators and denominator must be integers")
         if t_den <= 0:
             raise ValueError("denominator must be positive")
-        t_num = owned_array(knots, t_num if copy else None, np.int64)
-        y = owned_array(y, y if copy else None, np.float64)
+        t_num = np.array(knots, dtype=np.int64)
+        y = np.array(y, dtype=np.float64)
         if t_num.ndim != 1 or t_num.shape != y.shape:
             raise ValueError("knot arrays must be 1-d and of equal length")
         if t_num.size < 2:
@@ -54,7 +53,7 @@ class ScaledFunction:
         return int(self.t_num.size)
 
     def __neg__(self) -> "ScaledFunction":
-        return ScaledFunction(self.t_num, self.t_den, -self.y, copy=False)
+        return ScaledFunction(self.t_num, self.t_den, -self.y)
 
     def __call__(self, t):
         """Evaluate at float t (scalar or array) by linear interpolation."""
@@ -158,12 +157,3 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
 def sup_sum(f: ScaledFunction, g: ScaledFunction) -> float:
     """sup_t |f(t) + g(t)|, the coupling statistic for mirrored limits."""
     return sup_distance(f, -g)
-
-
-def owned_array(arr, given, dtype) -> np.ndarray:
-    """arr as a contiguous dtype array that no caller holds: copied when it
-    is still the caller's object `given` or a view of other memory."""
-    arr = np.ascontiguousarray(arr, dtype=dtype)
-    if arr is given or arr.base is not None:  # the caller's memory
-        arr = arr.copy()
-    return arr

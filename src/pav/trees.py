@@ -107,7 +107,7 @@ def _contour(parent) -> DyckPath:
     bad[2:] |= down[:-1] < 0  # v_j deeper than v_{j-1} + 1
     if bad.any():
         raise ValueError(f"vertex {np.argmax(bad)} attaches off the rightmost path")
-    return DyckPath._trusted(steps_from_runs(np.ones_like(down), down))
+    return DyckPath(steps_from_runs(np.ones_like(down), down))
 
 
 def _depths(parent: np.ndarray) -> np.ndarray:

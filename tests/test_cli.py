@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pav import bij231, dyck, perms
+from pav import bij231, dyck, perms, trees
 from pav.cli import main
 from pav.rng import substream
 from pav.trees import EXACT_LIMIT, expected_hat_xi
@@ -166,6 +166,17 @@ class TestStats:
         counts = [json.loads(line)["inversions"] for line in out.splitlines()]
         assert counts == [perms.inversions(bij231.forward(p)) for p in paths]
 
+    @pytest.mark.parametrize("paths", [
+        [p for n in range(1, 9) for p in dyck.enumerate_all(n)],
+        [dyck.sample_uniform(n, substream(12, n)) for n in (10**3, 10**4, 10**5)],
+    ], ids=["exhaustive-n<=8", "sampled"])
+    def test_path_length_matches_the_tree(self, capsys, paths):
+        lines = "".join(p.to_text() + "\n" for p in paths)
+        code, out, _ = run_cli(["stats"], lines, capsys=capsys)
+        assert code == 0
+        got = [json.loads(line)["path_length"] for line in out.splitlines()]
+        assert got == [trees.stats(trees.from_contour(p)).path_length for p in paths]
+
 
 class TestExpect:
     def test_xi_value(self, capsys):
@@ -299,6 +310,13 @@ class TestExperimentCmd:
         )
         named = f"error: {reals[0][2:]}=1e+308 makes "  # the first option overflows
         assert (code, out) == (1, "") and err.startswith(named) and "Traceback" not in err
+
+    @pytest.mark.parametrize("real", ["--c=0", "--c=-3", "--alpha=-1"])
+    def test_index_count_below_one_exit_1(self, capsys, real):
+        code, out, err = run_cli(
+            ["experiment", "--theorem", "random_index", "--n-grid", "10", real], capsys=capsys
+        )
+        assert (code, out) == (1, "") and err.startswith("error: threshold floor(c*n^alpha)")
 
     def test_bad_theorem_exit_1(self, capsys):
         code, _, err = run_cli(

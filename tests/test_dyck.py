@@ -93,6 +93,46 @@ class TestValidate:
         assert p.to_text() == "UUDD"
 
 
+def assert_one_way_in(path, *callers):
+    """The path's arrays are consistent and frozen; each caller array is
+    still writable and shares no memory with them."""
+    steps, heights = path.steps, path.heights
+    assert heights.tolist() == [0, *np.cumsum(steps).tolist()]
+    assert not (steps.flags.writeable or heights.flags.writeable)
+    for arr in callers:
+        assert arr.flags.writeable
+        assert not (np.shares_memory(arr, steps) or np.shares_memory(arr, heights))
+
+
+class TestOneWayIn:
+    """Every library route that builds a path goes through the constructor,
+    which copies, checks and freezes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 60), st.integers(0, 2**32 - 1))
+    def test_every_route(self, n, seed):
+        p = random_path(n, seed)
+        assert_one_way_in(p)
+        assert_one_way_in(pav.from_text(p.to_text()))
+        for dtype in (np.int8, np.int64):
+            steps = p.steps.astype(dtype)
+            assert_one_way_in(pav.DyckPath(steps), steps)
+        assert not np.shares_memory(pav.DyckPath(p).steps, p.steps)
+        for bij in (pav.bij321, pav.bij231):
+            images = bij.forward(p).images.copy()
+            q = bij.inverse(pav.Permutation(images))
+            assert q == p
+            assert_one_way_in(q, images)
+        parents = pav.trees.from_contour(p).parent.copy()
+        q = pav.trees.to_contour(pav.trees.OrderedTree(parents))
+        assert q == p
+        assert_one_way_in(q, parents)
+        paths = list(pav.enumerate_all(min(n, 5)))
+        assert len(set(paths)) == len(paths) == CATALAN[min(n, 5)]
+        for q in paths:
+            assert_one_way_in(q)
+
+
 class TestEnumerate:
     def test_n0(self):
         assert [p.n for p in pav.enumerate_all(0)] == [0]
@@ -183,6 +223,14 @@ class TestRuns:
     def test_empty_path_rejected(self):
         with pytest.raises(EmptySet):
             pav.runs(pav.validate(""))
+
+    def test_cached_and_read_only(self):
+        p = random_path(30, 1)
+        rd = pav.runs(p)
+        assert pav.runs(p) is rd
+        for arr in (rd.a, rd.d, rd.A, rd.D):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     @given(st.integers(1, 60), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)

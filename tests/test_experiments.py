@@ -346,6 +346,14 @@ class TestHarness:
             config.validated()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("theorem", ["subtree", "random_index"])
+    @pytest.mark.parametrize("c,alpha", [(0.0, 0.4), (-3.0, 0.4), (1.0, -1.0)])
+    def test_rejects_a_count_below_one(self, theorem, c, alpha):
+        config = ExperimentConfig(theorem_id=theorem, n_grid=(10,), replicates=1, seed=0,
+                                  c=c, alpha=alpha)
+        with pytest.raises(BadConfig, match=r"floor\(c\*n\^alpha\) = -?\d+ < 1 at n=10"):
+            config.validated()
+
     def test_report_schema(self):
         cfg = ExperimentConfig(theorem_id="thm321", n_grid=(100,), replicates=3, seed=7)
         report = run_experiment(cfg)

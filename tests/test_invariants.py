@@ -33,13 +33,17 @@ path._heights = np.array([0, 1, 1, 0, 0])  # cached profile out of step with the
 expect_raise("excursions parity", lambda: pav.excursions(path))
 
 
-class FlatRng:
+class FillRng:
+    def __init__(self, step):
+        self.step = step
+
     def shuffle(self, arr):
-        arr[:] = 1
+        arr[:] = self.step
 
 
-dyck.as_generator = lambda seed: FlatRng()
-expect_raise("sample_uniform rotation", lambda: pav.sample_uniform(5, 0))
+for step in (1, -1):  # every step up, then every step down
+    dyck.as_generator = lambda seed: FillRng(step)
+    expect_raise(f"sample_uniform rotation of all {step:+d}", lambda: pav.sample_uniform(5, 0))
 dyck.as_generator = pav.rng.as_generator
 
 experiments.max_deficit = lambda sigma: -1

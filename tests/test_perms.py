@@ -276,14 +276,15 @@ class TestScaledFunctionConstructor:
         t[0], y[0] = 1, 5.0
         assert f.t_num.tolist() == [0, 3] and f.y.tolist() == [0.0, 1.0]
 
-    def test_copy_false_adopts_fresh_arrays_but_not_views(self):
+    def test_copy_keyword_is_rejected(self):
+        # one way in: no knob adopts the caller's arrays unchecked or uncopied
         t, y = np.array([0, 3]), np.array([0.0, 1.0])
-        f = ScaledFunction(t, 3, y, copy=False)
-        assert f.t_num is t and f.y is y and not t.flags.writeable
-        t, y = np.array([0, 3, 9]), np.array([0.0, 1.0, 2.0])
-        g = ScaledFunction(t[:2], 3, y[:2], copy=False)
-        t[0], y[0] = 1, 5.0
-        assert g.t_num.tolist() == [0, 3] and g.y.tolist() == [0.0, 1.0]
+        with pytest.raises(TypeError):
+            ScaledFunction(t, 3, y, copy=False)
+        f = ScaledFunction(t, 3, y)
+        assert t.flags.writeable and y.flags.writeable
+        assert not (f.t_num.flags.writeable or f.y.flags.writeable)
+        assert not (np.shares_memory(f.t_num, t) or np.shares_memory(f.y, y))
 
     def test_accepts_any_integer_dtype(self):
         for dtype in (np.int8, np.uint16, np.int32, np.uint64):
