@@ -16,7 +16,7 @@ for n in range(5):
 print()
 print("== a 20-step path and its 321-avoiding image ==")
 heights = [0, 1, 0, 1, 2, 3, 4, 3, 2, 3, 4, 5, 6, 5, 4, 5, 4, 3, 2, 1, 0]
-path = pav.validate(np.diff(heights))
+path = pav.DyckPath(np.diff(heights))
 rd = pav.runs(path)
 print("path      :", path)
 print("run sums  : A =", list(rd.A), " D =", list(rd.D))

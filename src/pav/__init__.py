@@ -24,7 +24,6 @@ from .dyck import (
     runs,
     sample_uniform,
     scaled_path,
-    validate,
 )
 from .errors import PavError
 from .experiments import ExperimentConfig, ExperimentReport, run_experiment
@@ -58,7 +57,7 @@ __all__ = [
     "DyckPath", "ExcursionTable", "RunDecomposition",
     "Permutation", "OrderedTree", "ScaledFunction",
     "ExperimentConfig", "ExperimentReport", "PavError",
-    "validate", "from_text", "enumerate_all", "sample_uniform",
+    "from_text", "enumerate_all", "sample_uniform",
     "runs", "excursions", "max_height", "scaled_path",
     "contains_pattern", "avoids_321", "avoids_231",
     "exceedance", "exceedance_sets", "scaled_function",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dyck import DyckPath, excursions, steps_from_runs
+from .dyck import DyckPath, excursions, from_runs
 from .errors import IndexOutOfRange, InvalidPath, Not231Avoiding
 from .perms import Permutation
 from .trees import OrderedTree, to_contour
@@ -45,15 +45,13 @@ def inverse(perm: Permutation) -> DyckPath:
     valley = (h_pk[:-1] + h_pk[1:] - np.diff(2 * i_pk - h_pk)) >> 1
     climbs = np.concatenate(([h_pk[0]], h_pk[1:] - valley))
     descents = np.concatenate((h_pk[:-1] - valley, [h_pk[-1]]))
-    path = None
-    if min(climbs.min(), descents.min()) >= 0:
-        try:
-            path = DyckPath(steps_from_runs(climbs, descents))
-        except InvalidPath:  # peaks that no Dyck path has
-            pass
-    if path is None or forward(path) != perm:
-        raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
-    return path
+    try:
+        path = from_runs(climbs, descents)
+        if forward(path) == perm:
+            return path
+    except InvalidPath:  # peaks that no Dyck path has
+        pass
+    raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
 
 
 def tree_formula(tree: OrderedTree, i: int) -> int:

@@ -4,7 +4,7 @@
 Forward rule: with run prefix sums A_i, D_i of the path, tau sends each
 D_i (i < m) to 1 + A_i and maps the remaining positions increasingly
 onto the remaining values.  D_m = n is deliberately excluded: tau(n)
-would otherwise be n+1.
+would otherwise be n+1.  The inverse keeps only a path that maps back.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyck import DyckPath, runs, steps_from_runs, validate
-from .errors import Not321Avoiding, NotReconstructible
-from .perms import Permutation, avoids_321
+from .dyck import DyckPath, from_runs, runs
+from .errors import InvalidPath, Not321Avoiding
+from .perms import Permutation
 from .petrov import below, check_petrov
 
 
@@ -32,28 +32,21 @@ def forward(path: DyckPath) -> Permutation:
 def inverse(perm: Permutation) -> DyckPath:
     """Recover the unique Dyck path mapping to a 321-avoiding perm.
 
-    The exceedance positions {j : tau(j) > j} are exactly D_1..D_{m-1}
-    and their images recover 1 + A_i; closing with A_m = D_m = n yields
-    the run lengths.  Raises Not321Avoiding on bad input, and
-    NotReconstructible if the rebuilt step sequence fails validation
-    (which would signal internal inconsistency, not bad input).
+    The exceedances j (tau(j) > j) are D_1..D_{m-1}, with images
+    1 + A_1..1 + A_{m-1}, and A_m = D_m = n.  An input is accepted only
+    if the rebuilt path maps back to it; else Not321Avoiding is raised.
     """
-    if not avoids_321(perm):
-        raise Not321Avoiding(f"input contains a 321 pattern: {perm}")
-    n = perm.n
-    images = perm.images
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    d_set = idx[images > idx]
-    big_d = np.concatenate((d_set, [n]))
-    big_a = np.concatenate((images[d_set - 1] - 1, [n]))
-    a = np.diff(big_a, prepend=0)
-    d = np.diff(big_d, prepend=0)
-    if min(a.min(), d.min()) <= 0:
-        raise NotReconstructible("nonpositive run length from exceedance data")
+    n, images = perm.n, perm.images
+    d_set = np.flatnonzero(images > np.arange(1, n + 1)) + 1
+    a = np.diff(images[d_set - 1] - 1, prepend=0, append=n)
+    d = np.diff(d_set, prepend=0, append=n)
     try:
-        return validate(steps_from_runs(a, d))
-    except ValueError as exc:
-        raise NotReconstructible(str(exc)) from exc
+        path = from_runs(a, d)
+        if forward(path) == perm:
+            return path
+    except InvalidPath:  # run lengths that no Dyck path has
+        pass
+    raise Not321Avoiding(f"input contains a 321 pattern: {perm}")
 
 
 @dataclass(frozen=True)

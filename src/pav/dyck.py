@@ -51,11 +51,11 @@ class DyckPath:
             raise BadStep("steps must be a 1-d sequence")
         if arr.size % 2 != 0:
             raise OddLength(f"length {arr.size} is odd")
-        if not np.all(np.abs(arr) == 1):
+        if not (np.abs(arr) == 1).all():
             raise BadStep("steps must be +1 or -1")
         h = np.zeros(arr.size + 1, dtype=np.int64)
         h[1:] = arr  # cast first: an int8 -> int64 cumsum is 2.5x slower
-        np.cumsum(h, out=h)
+        np.add.accumulate(h, out=h)
         if h[-1] != 0:
             raise NotBalanced(f"endpoint height {int(h[-1])} != 0")
         if h.min() < 0:
@@ -110,14 +110,6 @@ def _steps_from_text(text: str) -> np.ndarray:
         raise BadStep(f"unexpected step characters: {sorted(bad)!r}")
     codes = np.frombuffer(text.encode(), dtype=np.uint8)
     return np.where(codes == ord("U"), 1, -1).astype(np.int8)
-
-
-def validate(steps) -> DyckPath:
-    """Check the three defining conditions and wrap the steps.
-
-    Raises OddLength, BadStep, NotBalanced, or NegativeExcursion.
-    """
-    return DyckPath(steps)
 
 
 def from_text(text: str) -> DyckPath:
@@ -232,14 +224,17 @@ class RunDecomposition:
         return np.flatnonzero(mask[1:]) + 1
 
 
-def steps_from_runs(up, down) -> np.ndarray:
-    """The int8 steps U^up[0] D^down[0] ... U^up[m-1] D^down[m-1] of
-    nonnegative run lengths, which callers check."""
+def from_runs(up, down) -> DyckPath:
+    """The path U^up[0] D^down[0] ... U^up[m-1] D^down[m-1] (a zero
+    length merges the runs beside it).  Raises BadStep on a negative run
+    length; the DyckPath constructor checks the rest."""
     m = len(up)
     lengths = np.empty(2 * m, dtype=np.int64)
     lengths[0::2] = up
     lengths[1::2] = down
-    return np.repeat(np.tile(np.array([1, -1], dtype=np.int8), m), lengths)
+    if (lengths < 0).any():
+        raise BadStep("run lengths must be nonnegative")
+    return DyckPath(np.repeat(np.tile(np.array([1, -1], dtype=np.int8), m), lengths))
 
 
 def runs(path: DyckPath) -> RunDecomposition:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .dyck import DyckPath, excursions, steps_from_runs
+from .dyck import DyckPath, excursions, from_runs
 from .errors import DomainError, RangeError, TooLarge
 from .perms import ints_from_text
 
@@ -107,7 +107,7 @@ def _contour(parent) -> DyckPath:
     bad[2:] |= down[:-1] < 0  # v_j deeper than v_{j-1} + 1
     if bad.any():
         raise ValueError(f"vertex {np.argmax(bad)} attaches off the rightmost path")
-    return DyckPath(steps_from_runs(np.ones_like(down), down))
+    return from_runs(np.ones_like(down), down)
 
 
 def _depths(parent: np.ndarray) -> np.ndarray:

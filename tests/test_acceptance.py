@@ -89,7 +89,7 @@ FIG5_HEIGHTS = [0, 1, 0, 1, 2, 3, 4, 3, 2, 3, 4, 5, 6, 5, 4, 5, 4, 3, 2, 1, 0]
 
 @criterion(3, "published example values reproduced exactly")
 def test_a03_figures():
-    fig5 = pav.validate(np.diff(FIG5_HEIGHTS))
+    fig5 = pav.DyckPath(np.diff(FIG5_HEIGHTS))
     assert bij321.forward(fig5).to_text() == "2 1 6 3 10 4 5 7 8 9"
     et = pav.excursions(pav.from_text("UUUDUUDUUUDDUDDDDUDD"))
     assert (int(et.v[5]), int(et.h[5]), int(et.l[5])) == (8, 4, 8)

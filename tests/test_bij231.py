@@ -55,6 +55,20 @@ def tree_route_inverse(perm: Permutation) -> pav.DyckPath:
     return trees.to_contour(ancestry_tree(perm))
 
 
+def transposed(perm: Permutation, data) -> Permutation:
+    """perm with two positions, or the adjacent values k and k+1, swapped
+    (drawn from hypothesis data)."""
+    images, n = perm.images.copy(), perm.n
+    if data.draw(st.booleans(), label="swap values"):
+        k = data.draw(st.integers(1, n - 1), label="k")
+        i, j = np.flatnonzero((images == k) | (images == k + 1))
+    else:
+        i = data.draw(st.integers(0, n - 1), label="i")
+        j = data.draw(st.integers(0, n - 1), label="j")
+    images[[i, j]] = images[[j, i]]
+    return Permutation(images)
+
+
 def inverse_outcome(inverse, perm: Permutation):
     """The path an inverse returns, or the message it rejects with."""
     try:
@@ -147,15 +161,7 @@ class TestInverse:
         values k, k+1) often keeps a valid peak structure, so the rejection
         falls to the final forward check, which most random permutations
         never reach."""
-        images = bij231.forward(pav.sample_uniform(n, substream(seed))).images.copy()
-        if data.draw(st.booleans(), label="swap values"):
-            k = data.draw(st.integers(1, n - 1), label="k")
-            i, j = np.flatnonzero((images == k) | (images == k + 1))
-        else:
-            i = data.draw(st.integers(0, n - 1), label="i")
-            j = data.draw(st.integers(0, n - 1), label="j")
-        images[[i, j]] = images[[j, i]]
-        perm = Permutation(images)
+        perm = transposed(bij231.forward(pav.sample_uniform(n, substream(seed))), data)
         got = inverse_outcome(bij231.inverse, perm)
         assert got == inverse_outcome(tree_route_inverse, perm)
 

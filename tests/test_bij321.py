@@ -2,6 +2,7 @@
 dichotomy, conditional coupling bounds."""
 
 from itertools import permutations
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,8 +12,9 @@ from hypothesis import strategies as st
 import pav
 from pav import bij321
 from pav.errors import Not321Avoiding
-from pav.perms import Permutation, contains_pattern
+from pav.perms import Permutation, avoids_321, contains_pattern
 from pav.rng import substream
+from test_bij231 import transposed
 
 P321 = Permutation([3, 2, 1])
 
@@ -21,7 +23,15 @@ FIG5_IMAGE = "2 1 6 3 10 4 5 7 8 9"
 
 
 def fig5_path():
-    return pav.validate(np.diff(FIG5_HEIGHTS))
+    return pav.DyckPath(np.diff(FIG5_HEIGHTS))
+
+
+def inverse_outcome(perm: Permutation):
+    """The path bij321.inverse returns, or the message it rejects with."""
+    try:
+        return bij321.inverse(perm)
+    except Not321Avoiding as exc:
+        return str(exc)
 
 
 def check_exceedance_sign(path) -> bool:
@@ -77,12 +87,18 @@ class TestInverse:
                 assert bij321.inverse(bij321.forward(p)) == p
 
     def test_inverse_then_forward_exhaustive(self):
-        for n in range(1, 7):
+        """Accepted iff 321-avoiding, and an accepted input maps back."""
+        rejected = 0
+        for n in range(1, 8):
             for images in permutations(range(1, n + 1)):
                 perm = Permutation(images)
+                got = inverse_outcome(perm)
                 if contains_pattern(perm, P321):
-                    continue
-                assert bij321.forward(bij321.inverse(perm)) == perm
+                    assert got == f"input contains a 321 pattern: {perm}"
+                    rejected += 1
+                else:
+                    assert bij321.forward(got) == perm
+        assert rejected == sum(factorial(n) - pav.catalan(n) for n in range(1, 8))
 
     def test_roundtrip_random_large(self):
         rng = substream(21)
@@ -95,6 +111,19 @@ class TestInverse:
     def test_roundtrip_property(self, n, seed):
         p = pav.sample_uniform(n, substream(seed))
         assert bij321.inverse(bij321.forward(p)) == p
+
+    @given(st.integers(2, 300), st.integers(0, 10_000), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_near_avoiders_match_the_avoidance_test(self, n, seed, data):
+        """One transposition of an image (of positions or of the adjacent
+        values k, k+1) often keeps the exceedance runs well formed, so the
+        rejection falls to the final forward check."""
+        perm = transposed(bij321.forward(pav.sample_uniform(n, substream(seed))), data)
+        got = inverse_outcome(perm)
+        if avoids_321(perm):
+            assert bij321.forward(got) == perm
+        else:
+            assert got == f"input contains a 321 pattern: {perm}"
 
 
 class TestExceedanceSign:

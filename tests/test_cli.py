@@ -110,6 +110,11 @@ class TestMap:
         code, _, err = run_cli(["map", "--from", "231", "--to", "dyck", "2 3 1"], capsys=capsys)
         assert code == 1 and "231" in err
 
+    def test_rejected_321_line_names_the_pattern(self, capsys):
+        code, out, err = run_cli(["map", "--from", "321", "--to", "dyck", "3 2 1"],
+                                 capsys=capsys)
+        assert (code, out, err) == (1, "", "error: input contains a 321 pattern: 3 2 1\n")
+
     def test_rejected_231_lines_name_the_pattern(self, capsys):
         # "3 1 4 2" fails only the final forward check; the long line is
         # the identity with values 500 and 503 swapped (501 502 500 is a 231).

@@ -30,35 +30,37 @@ def random_path(n, seed):
 
 class TestValidate:
     def test_smallest(self):
-        p = pav.validate("UD")
+        p = pav.DyckPath("UD")
         assert p.n == 1
         assert list(p.heights) == [0, 1, 0]
 
     def test_uudd(self):
-        assert list(pav.validate("UUDD").heights) == [0, 1, 2, 1, 0]
+        assert list(pav.DyckPath("UUDD").heights) == [0, 1, 2, 1, 0]
 
     def test_dips_below_zero(self):
         with pytest.raises(NegativeExcursion):
-            pav.validate("UDDU")
+            pav.DyckPath("UDDU")
 
     def test_unbalanced(self):
         with pytest.raises(NotBalanced):
-            pav.validate("UDUU")
+            pav.DyckPath("UDUU")
 
     def test_odd_length(self):
         with pytest.raises(OddLength):
-            pav.validate("UDU")
+            pav.DyckPath("UDU")
 
     def test_bad_char(self):
         with pytest.raises(BadStep):
-            pav.validate("UX")
+            pav.DyckPath("UX")
 
     def test_bad_step_value(self):
         with pytest.raises(BadStep):
-            pav.validate([1, 2, -1, -1])
+            pav.DyckPath([1, 2, -1, -1])
+        with pytest.raises(BadStep):  # a negative run length
+            dyck.from_runs([2, 1], [-1, 4])
 
     def test_steps_from_numbers(self):
-        assert pav.validate([1, 1, -1, -1]) == pav.from_text("UUDD")
+        assert pav.DyckPath([1, 1, -1, -1]) == pav.from_text("UUDD")
 
     @pytest.mark.parametrize("steps", [
         np.array([257, -257]),  # wraps to +1, -1 in int8
@@ -78,7 +80,8 @@ class TestValidate:
             pav.DyckPath(steps)
 
     def test_empty_path_is_valid(self):
-        assert pav.validate("").n == 0
+        assert pav.DyckPath("").n == 0
+        assert dyck.from_runs(np.array([], dtype=np.int64), []) == pav.DyckPath("")
 
     def test_immutability(self):
         p = pav.from_text("UUDD")
@@ -152,7 +155,7 @@ class TestEnumerate:
 
     def test_all_valid(self):
         for p in pav.enumerate_all(6):
-            pav.validate(p.steps)
+            pav.DyckPath(p.steps)
 
     def test_guard(self):
         with pytest.raises(TooLarge):
@@ -176,7 +179,7 @@ class TestSampleUniform:
         rng = substream(3)
         for _ in range(200):
             p = pav.sample_uniform(int(rng.integers(1, 80)), rng)
-            pav.validate(p.steps)
+            pav.DyckPath(p.steps)
 
     def test_n2_frequency(self):
         rng = substream(99)
@@ -192,7 +195,7 @@ FIG5_HEIGHTS = [0, 1, 0, 1, 2, 3, 4, 3, 2, 3, 4, 5, 6, 5, 4, 5, 4, 3, 2, 1, 0]
 
 
 def fig5_path():
-    return pav.validate(np.diff(FIG5_HEIGHTS))
+    return pav.DyckPath(np.diff(FIG5_HEIGHTS))
 
 
 class TestRuns:
@@ -222,7 +225,7 @@ class TestRuns:
 
     def test_empty_path_rejected(self):
         with pytest.raises(EmptySet):
-            pav.runs(pav.validate(""))
+            pav.runs(pav.DyckPath(""))
 
     def test_cached_and_read_only(self):
         p = random_path(30, 1)
@@ -237,7 +240,7 @@ class TestRuns:
     def test_reconstruction_and_height_identity(self, n, seed):
         p = random_path(n, seed)
         rd = pav.runs(p)
-        assert dyck.steps_from_runs(rd.a, rd.d).tobytes() == p.steps.tobytes()
+        assert dyck.from_runs(rd.a, rd.d) == p
         assert np.array_equal(rd.y, p.heights[rd.A + rd.D])
         assert rd.A[-1] == rd.D[-1] == n
         assert np.all(rd.A >= rd.D)
