@@ -23,7 +23,6 @@ from .dyck import (
     max_height,
     runs,
     sample_uniform,
-    scaled_path,
 )
 from .errors import PavError
 from .experiments import ExperimentConfig, ExperimentReport, run_experiment
@@ -39,7 +38,7 @@ from .perms import (
     scaled_function,
 )
 from .rng import substream
-from .scaled import ScaledFunction, sup_distance, sup_sum
+from .scaled import ScaledFunction
 from .trees import (
     OrderedTree,
     catalan,
@@ -58,10 +57,10 @@ __all__ = [
     "Permutation", "OrderedTree", "ScaledFunction",
     "ExperimentConfig", "ExperimentReport", "PavError",
     "from_text", "enumerate_all", "sample_uniform",
-    "runs", "excursions", "max_height", "scaled_path",
+    "runs", "excursions", "max_height",
     "contains_pattern", "avoids_321", "avoids_231",
     "exceedance", "exceedance_sets", "scaled_function",
-    "inversions", "max_deficit", "sup_distance", "sup_sum",
+    "inversions", "max_deficit",
     "from_contour", "to_contour", "stats", "hat_xi",
     "catalan", "expected_xi", "expected_hat_xi", "subtree_size_limit",
     "run_experiment", "substream",

@@ -226,9 +226,12 @@ class RunDecomposition:
 
 def from_runs(up, down) -> DyckPath:
     """The path U^up[0] D^down[0] ... U^up[m-1] D^down[m-1] (a zero
-    length merges the runs beside it).  Raises BadStep on a negative run
-    length; the DyckPath constructor checks the rest."""
+    length merges the runs beside it).  Raises BadStep on unequal run
+    counts or a negative run length; the DyckPath constructor checks the
+    rest."""
     m = len(up)
+    if len(down) != m:
+        raise BadStep("up and down run counts differ")
     lengths = np.empty(2 * m, dtype=np.int64)
     lengths[0::2] = up
     lengths[1::2] = down

@@ -57,9 +57,5 @@ class DomainError(PavError, ValueError):
     """Parameters outside the domain of a limit formula."""
 
 
-class EmptySample(PavError, ValueError):
-    """A Monte Carlo estimate was requested with zero replicates."""
-
-
 class BadConfig(PavError, ValueError):
     """An experiment configuration is malformed."""

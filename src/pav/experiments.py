@@ -33,7 +33,7 @@ from .parallel import effective_workers, replicate_map
 from .perms import exceedance_sets, max_deficit, scaled_function
 from .petrov import check_petrov
 from .rng import as_generator, substream
-from .scaled import ScaledFunction, sorted_unique
+from .scaled import sorted_unique
 from .trees import catalan, expected_hat_xi, subtree_size_limit
 
 
@@ -67,8 +67,9 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     Returns (sup|G - F_plus|, sup|G + F_minus|, sup|F_plus + F_minus|);
     all three tend to zero in probability for uniform paths.
 
-    Each value equals the matching sup_distance / sup_sum call bit for
-    bit.  Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
+    They equal sup_distance(G, F_plus), sup_distance(G, -F_minus) and
+    sup_distance(F_plus, -F_minus) bit for bit, G = scaled_path(path).
+    Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
     maxima over that lattice, swept in blocks (ScaledFunction.eval_lattice):
     G's values are its ordinates, negation is exact, and F_plus + F_minus
     has its knots at the even points, the union grid of that pair.
@@ -99,18 +100,13 @@ def coupling_231(path: DyckPath, index_set) -> float:
     """sup over [0,1] of |scaled path + interpolation of the 231-image's
     exceedance over the given index set|.
 
-    An empty index set degenerates to the anchor-only zero function.
+    An empty index set gives the anchor-only zero function.
 
-    Equals sup_sum(scaled_path(path), f) bit for bit: every knot lies on
-    the lattice x/(2n), swept in blocks (eval_lattice), G's values there
-    are its ordinates, and a - (-b) == a + b in IEEE arithmetic.
+    Equals sup_distance(scaled_path(path), -f) bit for bit: every knot
+    lies on the lattice x/(2n), swept in blocks (eval_lattice), G's values
+    there are its ordinates, and a - (-b) == a + b in IEEE arithmetic.
     """
-    sigma = bij231.forward(path)
-    index_set = np.asarray(index_set, dtype=np.int64)
-    if index_set.size == 0:
-        f = ScaledFunction(np.array([0, path.n]), path.n, np.zeros(2))
-    else:
-        f = scaled_function(sigma, index_set)
+    f = scaled_function(bij231.forward(path), index_set)
     den = 2 * path.n
     d = 0.0
     for lo, hi, g in _lattice_blocks(path):
@@ -246,7 +242,8 @@ THEOREMS = (*REPLICATES, "subtree")  # subtree is exact: no replicates
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one experiment run."""
+    """Declarative description of one experiment run.  Construction is the
+    one way in: it checks every field and stores it normalized."""
 
     theorem_id: str
     n_grid: tuple[int, ...]
@@ -257,7 +254,7 @@ class ExperimentConfig:
     epsilon: float = 0.05
     keep_raw: bool = False
 
-    def validated(self) -> "ExperimentConfig":
+    def __post_init__(self):
         if self.theorem_id not in THEOREMS:
             raise BadConfig(f"unknown theorem_id {self.theorem_id!r}")
         grid = tuple(_integer("n_grid", v) for v in self.n_grid)
@@ -288,10 +285,11 @@ class ExperimentConfig:
             for size in grid:
                 if (k := int(reals["c"] * size**alpha)) < 1:
                     raise BadConfig(f"threshold floor(c*n^alpha) = {k} < 1 at n={size}")
-        return dataclasses.replace(
-            self, n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
+        for name, value in dict(
+            n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
             keep_raw=bool(self.keep_raw), **reals,
-        )
+        ).items():
+            object.__setattr__(self, name, value)  # the dataclass is frozen
 
 
 def _integer(name: str, value) -> int:
@@ -387,7 +385,6 @@ def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> Experim
     substreams, aggregation in replicate order), so the report content is
     identical at any worker count; wall_seconds is the only volatile field.
     """
-    config = config.validated()
     workers = effective_workers(workers)
     start = time.perf_counter()
     report = ExperimentReport(config=config)

@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import EmptySet, IndexOutOfRange
+from .errors import IndexOutOfRange
 from .scaled import ScaledFunction, sorted_unique
 
 
@@ -174,16 +174,13 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
 
     Anchor knots (0,0) and (1,0) are added when 0 or n is absent, making
     the function total on [0,1] and matching the zero boundary of the
-    limit object.
+    limit object; an empty index set gives the zero function.
     """
     n = perm.n
     a = sorted_unique(np.asarray(indices, dtype=np.int64).ravel())
-    if a.size == 0:
-        raise EmptySet("index set must be nonempty")
-    if a.min() < 0 or a.max() > n:
+    if a.size and (a[0] < 0 or a[-1] > n):
         raise IndexOutOfRange("indices must lie in 0..n")
-    if a[0] == 0:
-        a = a[1:]  # E(0) = 0 is the anchor knot
+    a = a[a > 0]  # E(0) = 0 is the anchor knot
     y = np.concatenate(([0.0], (perm.images[a - 1] - a) / np.sqrt(2 * n)))
     a = np.concatenate(([0], a))
     if a[-1] != n:

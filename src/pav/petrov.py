@@ -24,7 +24,6 @@ from fractions import Fraction
 import numpy as np
 
 from .dyck import DyckPath, runs
-from .errors import EmptySample
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +335,6 @@ def petrov_frequency(n: int, replicates: int, seed: int, workers: int = 1) -> di
     """
     from .experiments import ExperimentConfig, run_experiment  # it imports this module
 
-    if replicates < 1:
-        raise EmptySample("replicates must be >= 1")
     config = ExperimentConfig(theorem_id="petrov", n_grid=(n,), replicates=replicates, seed=seed)
     mean = {row["statistic"]: row["mean"] for row in run_experiment(config, workers).results}
     return {

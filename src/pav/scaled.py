@@ -3,11 +3,12 @@
 Knot positions are stored as integer numerators over a single shared
 denominator, so knots coming from different grids (x/(2n) for scaled
 paths, a/n for exceedance interpolations) never collide or drift when
-two functions are compared: the union grid is formed in integer
-arithmetic and only the ordinates are floating point.  On a block
-[lo, hi) of the lattice x/den, ScaledFunction.eval_lattice evaluates in
-O(hi - lo) after one binary search, so a caller can sweep the whole
-lattice in cache-sized blocks.
+two functions are compared; only the ordinates are floating point.  One
+evaluator serves every caller: on a block [lo, hi) of the lattice x/den,
+ScaledFunction.eval_lattice evaluates in O(hi - lo) after one binary
+search, so a caller can sweep the whole lattice in cache-sized blocks.
+sup_distance, the union-grid sup over two functions' knots, is the
+oracle the coupling sweeps are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -55,34 +56,19 @@ class ScaledFunction:
     def __neg__(self) -> "ScaledFunction":
         return ScaledFunction(self.t_num, self.t_den, -self.y)
 
-    def __call__(self, t):
-        """Evaluate at float t (scalar or array) by linear interpolation."""
-        return np.interp(t, self.t_num / self.t_den, self.y)
-
-    def eval_rational(self, nums, den: int):
-        """Evaluate at exact rationals nums[i]/den, den a multiple of t_den.
-
-        Interpolation weights are formed from integer differences, so a
-        query that lands exactly on a knot returns the stored ordinate
-        bit-for-bit.
-        """
-        own = self.t_num * self._scale(den)
-        nums = np.asarray(nums, dtype=np.int64)
-        if np.any(nums < 0) or np.any(nums > den):
-            raise ValueError("query points must lie in [0,1]")
-        idx = np.searchsorted(own, nums, side="right") - 1
-        idx = np.clip(idx, 0, own.size - 2)
-        return self._interpolate(own, self.y, idx, nums.astype(np.float64))
-
     def eval_lattice(self, den: int, lo: int, hi: int):
-        """eval_rational(np.arange(lo, hi), den), bit for bit, for the block
-        0 <= lo < hi <= den + 1, in O(hi - lo + log len(self)).
+        """The values at x/den for the lattice block lo <= x < hi, where
+        0 <= lo < hi <= den + 1 and den is a multiple of t_den, in
+        O(hi - lo + log len(self)).  A lattice point on a knot gets the
+        stored ordinate bit for bit.
 
         One binary search finds the segment of lo and the last knot before
         hi; the segment of each later lattice point is that of lo plus the
         count of interior knots passed on the way, a block-local cumsum.
         """
-        m = self._scale(den)
+        if den % self.t_den != 0:
+            raise ValueError("den must be a multiple of the knot denominator")
+        m = den // self.t_den
         if not 0 <= lo < hi <= den + 1:
             raise ValueError(f"lattice block [{lo}, {hi}) must lie in 0..{den}")
         # interior knot t is at or before the lattice point x iff t <= x // m
@@ -94,12 +80,6 @@ class ScaledFunction:
         np.cumsum(idx, out=idx)  # x = den lands in the last segment, at w = 1
         x = np.arange(lo, hi, dtype=np.float64)
         return self._interpolate(own, self.y[first:last + 2], idx, x)
-
-    def _scale(self, den: int) -> int:
-        """den // t_den: the factor that puts the knots over den."""
-        if den % self.t_den != 0:
-            raise ValueError("den must be a multiple of the knot denominator")
-        return den // self.t_den
 
     @staticmethod
     def _interpolate(own, y, idx, x):
@@ -133,11 +113,11 @@ def sup_distance(f: ScaledFunction, g: ScaledFunction) -> float:
     supremum is attained at a union knot; no grid discretization enters.
     """
     lcm = math.lcm(f.t_den, g.t_den)
-    grid = sorted_unique(
-        np.concatenate((f.t_num * (lcm // f.t_den), g.t_num * (lcm // g.t_den)))
-    )
-    fv = f.eval_rational(grid, lcm)
-    gv = g.eval_rational(grid, lcm)
+    owns = [h.t_num * (lcm // h.t_den) for h in (f, g)]
+    grid = sorted_unique(np.concatenate(owns))
+    # a grid point's segment: the count of interior knots at or before it
+    fv, gv = (h._interpolate(own, h.y, np.searchsorted(own[1:-1], grid, side="right"),
+                             grid.astype(np.float64)) for h, own in zip((f, g), owns))
     return float(np.max(np.abs(fv - gv)))
 
 
@@ -153,7 +133,3 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
 
-
-def sup_sum(f: ScaledFunction, g: ScaledFunction) -> float:
-    """sup_t |f(t) + g(t)|, the coupling statistic for mirrored limits."""
-    return sup_distance(f, -g)

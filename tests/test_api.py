@@ -1,9 +1,73 @@
-"""The public namespace: every name in pav.__all__ resolves, once."""
+"""The public namespace: every name in pav.__all__ resolves, once, and
+every pav name the benchmark scripts use still exists."""
+
+import ast
+import importlib
+from pathlib import Path
 
 import pav
+
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
 def test_all_names_resolve_once():
     assert len(pav.__all__) == len(set(pav.__all__))
     missing = [name for name in pav.__all__ if not hasattr(pav, name)]
+    assert missing == []
+
+
+def benchmark_pav_names() -> set:
+    """(file, dotted name) for each pav name that benchmark/*.py imports,
+    or reads as attr off a name it bound by importing from pav.  Names the
+    file also assigns or takes as arguments are skipped: they may shadow
+    the import.  The files are parsed, never imported."""
+    found = set()
+    for path in sorted(BENCHMARK.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = {}  # local name -> the dotted pav name it holds
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "pav":
+                        found.add((path.name, alias.name))
+                        # import pav.x binds pav; import pav.x as y binds y
+                        bound[alias.asname or "pav"] = alias.name if alias.asname else "pav"
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                if (node.module or "").split(".")[0] == "pav":
+                    for alias in node.names:
+                        dotted = f"{node.module}.{alias.name}"
+                        found.add((path.name, dotted))
+                        bound[alias.asname or alias.name] = dotted
+        rebound = {n.id for n in ast.walk(tree)
+                   if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+        rebound |= {a.arg for a in ast.walk(tree) if isinstance(a, ast.arg)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in bound and node.value.id not in rebound):
+                found.add((path.name, f"{bound[node.value.id]}.{node.attr}"))
+    return found
+
+
+def resolves(dotted: str) -> bool:
+    """Whether pav.a.b... is an importable module or an attribute chain."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        if hasattr(obj, part):
+            obj = getattr(obj, part)
+            continue
+        try:
+            obj = importlib.import_module(".".join(parts[:i]))
+        except ImportError:
+            return False
+    return True
+
+
+def test_benchmark_names_resolve():
+    names = benchmark_pav_names()
+    dotted = {name for _, name in names}
+    # the walk sees both import forms and module.attr reads
+    assert {"pav.scaled.sup_distance", "pav.dyck.scaled_path",
+            "pav.experiments.run_experiment"} <= dotted
+    missing = sorted(item for item in names if not resolves(item[1]))
     assert missing == []

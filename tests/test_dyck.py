@@ -58,6 +58,8 @@ class TestValidate:
             pav.DyckPath([1, 2, -1, -1])
         with pytest.raises(BadStep):  # a negative run length
             dyck.from_runs([2, 1], [-1, 4])
+        with pytest.raises(BadStep, match="up and down run counts differ"):
+            dyck.from_runs([1], [1, 0])
 
     def test_steps_from_numbers(self):
         assert pav.DyckPath([1, 1, -1, -1]) == pav.from_text("UUDD")
@@ -334,17 +336,18 @@ class TestMaxHeightAndScaling:
         assert pav.max_height(fig5_path()) == 6
 
     def test_scaled_knots_smallest(self):
-        f = pav.scaled_path(pav.from_text("UD"))
+        f = dyck.scaled_path(pav.from_text("UD"))
         assert list(f.t_num) == [0, 1, 2] and f.t_den == 2
         assert f.y[1] == 1 / np.sqrt(2)
         assert f.y[0] == f.y[2] == 0.0
 
     def test_scaled_peak(self):
-        f = pav.scaled_path(pav.from_text("UUDD"))
-        assert f(0.5) == 1.0
+        f = dyck.scaled_path(pav.from_text("UUDD"))
+        assert f.t_num[2] / f.t_den == 0.5 and f.y[2] == 1.0
 
     @given(st.integers(1, 40), st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_boundary_zeros(self, n, seed):
-        f = pav.scaled_path(random_path(n, seed))
-        assert f(0.0) == 0.0 and f(1.0) == 0.0
+        f = dyck.scaled_path(random_path(n, seed))
+        assert f.t_num[0] == 0 and f.t_num[-1] == f.t_den
+        assert f.y[0] == 0.0 and f.y[-1] == 0.0

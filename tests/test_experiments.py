@@ -29,7 +29,7 @@ from pav.experiments import (
 )
 from pav.perms import exceedance_sets, inversions, scaled_function
 from pav.rng import substream
-from pav.scaled import sup_distance, sup_sum
+from pav.scaled import sup_distance
 
 
 # 2n + 1 lattice points in B - 1, B + 1, 2B - 1 and 2B + 1 (2n + 1 is odd,
@@ -39,17 +39,17 @@ BLOCK_EDGES = [(LATTICE_BLOCK // 2 - 1, 8), (LATTICE_BLOCK // 2, 9),
 
 
 def assert_321_is_public_sups(path):
-    g = pav.scaled_path(path)
+    g = pav.dyck.scaled_path(path)
     tau = pav.bij321.forward(path)
     f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-    want = (sup_distance(g, f_plus), sup_sum(g, f_minus), sup_sum(f_plus, f_minus))
+    want = (sup_distance(g, f_plus), sup_distance(g, -f_minus), sup_distance(f_plus, -f_minus))
     assert coupling_321(path) == want
 
 
 def assert_231_is_sup_sum(path, seed):
     """On the se_set, a random set, the full set and the empty set."""
     n = path.n
-    g = pav.scaled_path(path)
+    g = pav.dyck.scaled_path(path)
     sigma = bij231.forward(path)
     index_sets = (
         se_set(path, 1.0, 0.4),
@@ -57,9 +57,9 @@ def assert_231_is_sup_sum(path, seed):
         np.arange(1, n + 1),
     )
     for b in index_sets:
-        assert coupling_231(path, b) == sup_sum(g, scaled_function(sigma, b))
+        assert coupling_231(path, b) == sup_distance(g, -scaled_function(sigma, b))
     zero = pav.ScaledFunction(np.array([0, n]), n, np.zeros(2))
-    assert coupling_231(path, np.array([], dtype=np.int64)) == sup_sum(g, zero)
+    assert coupling_231(path, np.array([], dtype=np.int64)) == sup_distance(g, -zero)
 
 
 class TestCoupling321:
@@ -290,29 +290,24 @@ class TestMoments:
         assert report.rows(statistic="max_scaled")[0]["mean"] > 0
 
     def test_empty(self):
-        cfg = ExperimentConfig(theorem_id="moments", n_grid=(100,), replicates=0, seed=1)
-        with pytest.raises(BadConfig):
-            run_experiment(cfg)
+        with pytest.raises(BadConfig, match="replicates must be >= 1"):
+            ExperimentConfig(theorem_id="moments", n_grid=(100,), replicates=0, seed=1)
 
 
 class TestHarness:
     def test_unknown_theorem(self):
-        cfg = ExperimentConfig(theorem_id="nope", n_grid=(10,), replicates=1, seed=0)
         with pytest.raises(BadConfig):
-            run_experiment(cfg)
+            ExperimentConfig(theorem_id="nope", n_grid=(10,), replicates=1, seed=0)
 
     def test_bad_grid(self):
-        cfg = ExperimentConfig(theorem_id="moments", n_grid=(10, 10), replicates=1, seed=0)
         with pytest.raises(BadConfig):
-            run_experiment(cfg)
-        cfg = ExperimentConfig(theorem_id="moments", n_grid=(), replicates=1, seed=0)
+            ExperimentConfig(theorem_id="moments", n_grid=(10, 10), replicates=1, seed=0)
         with pytest.raises(BadConfig):
-            run_experiment(cfg)
+            ExperimentConfig(theorem_id="moments", n_grid=(), replicates=1, seed=0)
 
     def test_zero_replicates(self):
-        cfg = ExperimentConfig(theorem_id="height", n_grid=(10,), replicates=0, seed=0)
         with pytest.raises(BadConfig):
-            run_experiment(cfg)
+            ExperimentConfig(theorem_id="height", n_grid=(10,), replicates=0, seed=0)
 
     @pytest.mark.parametrize("field,value", [
         ("replicates", 2.7),
@@ -323,7 +318,7 @@ class TestHarness:
         kwargs = dict(theorem_id="thm321", n_grid=(10,), replicates=2, seed=1)
         kwargs[field] = value
         with pytest.raises(BadConfig):
-            ExperimentConfig(**kwargs).validated()
+            ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize("field", ["c", "alpha", "epsilon"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -331,7 +326,7 @@ class TestHarness:
         kwargs = dict(theorem_id="thm231", n_grid=(10,), replicates=2, seed=1)
         kwargs[field] = value
         with pytest.raises(BadConfig, match=field):
-            ExperimentConfig(**kwargs).validated()
+            ExperimentConfig(**kwargs)
 
     @pytest.mark.parametrize("reals,message", [
         ({"alpha": 1e308}, "alpha=1e+308 makes n**alpha overflow at n=10"),
@@ -340,19 +335,16 @@ class TestHarness:
         ({"epsilon": 1e308}, "epsilon=1e+308 makes n**(0.75 + epsilon) overflow at n=10"),
     ])
     def test_rejects_overflowing_reals_by_name(self, reals, message):
-        config = ExperimentConfig(theorem_id="thm231", n_grid=(2, 10), replicates=2, seed=1,
-                                  **reals)
         with pytest.raises(BadConfig) as exc:
-            config.validated()
+            ExperimentConfig(theorem_id="thm231", n_grid=(2, 10), replicates=2, seed=1, **reals)
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("theorem", ["subtree", "random_index"])
     @pytest.mark.parametrize("c,alpha", [(0.0, 0.4), (-3.0, 0.4), (1.0, -1.0)])
     def test_rejects_a_count_below_one(self, theorem, c, alpha):
-        config = ExperimentConfig(theorem_id=theorem, n_grid=(10,), replicates=1, seed=0,
-                                  c=c, alpha=alpha)
         with pytest.raises(BadConfig, match=r"floor\(c\*n\^alpha\) = -?\d+ < 1 at n=10"):
-            config.validated()
+            ExperimentConfig(theorem_id=theorem, n_grid=(10,), replicates=1, seed=0,
+                             c=c, alpha=alpha)
 
     def test_report_schema(self):
         cfg = ExperimentConfig(theorem_id="thm321", n_grid=(100,), replicates=3, seed=7)

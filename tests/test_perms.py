@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pav
-from pav.errors import EmptySet, IndexOutOfRange
+from pav.errors import IndexOutOfRange
 from pav.perms import (
     Permutation,
     avoids_231,
@@ -168,12 +168,14 @@ class TestScaledFunction:
         rd = pav.runs(pav.bij321.inverse(tau))
         subset = np.concatenate(([0], rd.set_D()))
         f = scaled_function(tau, subset)
-        val = f.eval_rational(np.array([5]), 10)[0]
+        val = f.eval_lattice(10, 5, 6)[0]
         assert val == 5 / np.sqrt(20)
 
     def test_empty_set(self):
-        with pytest.raises(EmptySet):
-            scaled_function(Permutation([1]), [])
+        for n in (1, 3):
+            f = scaled_function(random_perm(n, 2), [])
+            assert f.t_num.tolist() == [0, n] and f.t_den == n
+            assert f.y.tolist() == [0.0, 0.0]
 
     def test_bad_index(self):
         with pytest.raises(IndexOutOfRange):
@@ -183,7 +185,7 @@ class TestScaledFunction:
         perm = random_perm(37, 5)
         plus, _ = exceedance_sets(perm)
         f = scaled_function(perm, plus)
-        again = f.eval_rational(f.t_num, f.t_den)
+        again = f.eval_lattice(f.t_den, 0, f.t_den + 1)[f.t_num]
         assert np.array_equal(again, f.y)
 
 
@@ -220,16 +222,14 @@ class TestEvalLattice:
         den = f.t_den * mult
         on_knots = data.draw(st.lists(st.sampled_from((f.t_num * mult).tolist()), max_size=8))
         off_knots = data.draw(st.lists(st.integers(1, den), max_size=8))
-        lattice = np.arange(den + 1)
-        want = f.eval_rational(lattice, den).tobytes()
+        want = eval_rational_int_divide(f, np.arange(den + 1), den).tobytes()
         assert f.eval_lattice(den, 0, den + 1).tobytes() == want
         assert joined_blocks(f, den, on_knots + off_knots).tobytes() == want
-        assert want == eval_rational_int_divide(f, lattice, den).tobytes()
 
     def test_every_block_of_a_small_function(self):
         f = ScaledFunction([0, 2, 3, 7, 9], 9, [0.0, -1.5, 2.0, 1e-9, 0.0])
         for den in (9, 18):
-            want = f.eval_rational(np.arange(den + 1), den)
+            want = eval_rational_int_divide(f, np.arange(den + 1), den)
             for lo in range(den + 1):
                 for hi in range(lo + 1, den + 2):
                     got = f.eval_lattice(den, lo, hi)
@@ -240,15 +240,13 @@ class TestEvalLattice:
         for den in (100_000, 300_000):
             got = f.eval_lattice(den, 0, den + 1)
             assert got[0] == -2.5 and got[-1] == 0.0
-            assert got.tobytes() == f.eval_rational(np.arange(den + 1), den).tobytes()
+            assert got.tobytes() == eval_rational_int_divide(f, np.arange(den + 1), den).tobytes()
             assert joined_blocks(f, den, range(0, den, 8192)).tobytes() == got.tobytes()
 
     def test_den_not_a_multiple(self):
         f = ScaledFunction([0, 2, 3], 3, [0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="multiple"):
             f.eval_lattice(4, 0, 5)
-        with pytest.raises(ValueError, match="multiple"):
-            f.eval_rational([0, 4], 4)
 
     @pytest.mark.parametrize("lo,hi", [(-1, 2), (0, 8), (3, 3), (4, 2)])
     def test_block_outside_the_lattice(self, lo, hi):
@@ -304,7 +302,8 @@ def sup_distance_union1d(f, g):
     """Reference kernel: the union grid built by np.union1d."""
     lcm = math.lcm(f.t_den, g.t_den)
     grid = np.union1d(f.t_num * (lcm // f.t_den), g.t_num * (lcm // g.t_den))
-    return float(np.max(np.abs(f.eval_rational(grid, lcm) - g.eval_rational(grid, lcm))))
+    fv, gv = (eval_rational_int_divide(h, grid, lcm) for h in (f, g))
+    return float(np.max(np.abs(fv - gv)))
 
 
 class TestSupDistance:
@@ -344,7 +343,7 @@ class TestSupDistance:
     @settings(max_examples=30, deadline=None)
     def test_coupling_functions_equal_union1d_oracle(self, n, seed):
         path = pav.sample_uniform(n, substream(seed))
-        g = pav.scaled_path(path)
+        g = pav.dyck.scaled_path(path)
         tau = pav.bij321.forward(path)
         f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
         sigma = pav.bij231.forward(path)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import pav
 from pav import petrov
-from pav.errors import EmptySample
+from pav.errors import BadConfig
 from pav.petrov import PetrovReport, below, check_petrov, check_voucher, petrov_frequency
 from pav.rng import substream
 
@@ -397,7 +397,7 @@ class TestFrequency:
         assert a == b
 
     def test_empty_sample(self):
-        with pytest.raises(EmptySample):
+        with pytest.raises(BadConfig, match="replicates must be >= 1"):
             petrov_frequency(100, 0, seed=1)
 
     @pytest.mark.parametrize("n,replicates,seed", [(5, 40, 3), (8, 25, 0)])
