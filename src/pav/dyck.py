@@ -25,8 +25,6 @@ from .errors import (
 from .rng import as_generator
 from .scaled import ScaledFunction
 
-_STEP_CHARS = frozenset("UD")
-
 
 class DyckPath:
     """Immutable Dyck path.
@@ -105,8 +103,8 @@ class DyckPath:
 
 
 def _steps_from_text(text: str) -> np.ndarray:
-    bad = set(text) - _STEP_CHARS
-    if bad:
+    if not text.isascii() or text.encode().translate(None, b"UD"):
+        bad = set(text) - {"U", "D"}
         raise BadStep(f"unexpected step characters: {sorted(bad)!r}")
     codes = np.frombuffer(text.encode(), dtype=np.uint8)
     return np.where(codes == ord("U"), 1, -1).astype(np.int8)

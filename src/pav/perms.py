@@ -2,7 +2,9 @@
 exceedance functions, and scalar statistics (inversions, max deficit).
 
 Permutations are 1-indexed bijections on {1..n}; the text format is the
-space-separated image list, e.g. "2 1 6 3 10 4 5 7 8 9".
+space-separated image list, e.g. "2 1 6 3 10 4 5 7 8 9".  Integer lines
+(permutations, and the parent labels of `trees.OrderedTree`) are read by
+`ints_from_text` and printed by `ints_to_text`.
 """
 
 from __future__ import annotations
@@ -15,13 +17,71 @@ from .errors import IndexOutOfRange
 from .scaled import ScaledFunction, sorted_unique
 
 
+# numpy's wording for a token beyond int64, kept so that `error:` lines
+# read the same whichever way a line is converted.
+_TOO_LARGE = "Python int too large to convert to C long"
+
+
 def ints_from_text(text: str) -> np.ndarray:
     """The int64 values of a line of ASCII digits separated by spaces or
     tabs.  Any other character (a sign, an underscore, a non-ASCII digit
-    or separator) raises ValueError; a value beyond int64, OverflowError."""
+    or separator) raises ValueError; a value beyond int64, OverflowError.
+    Leading zeros are allowed at any length.
+
+    Token bounds come from one digit mask over the line's bytes, and the
+    values from Horner's rule over the last 19 places of every token.
+    """
     if not text.isascii() or text.encode().translate(None, b"0123456789 \t"):
         raise ValueError("expected ASCII digits separated by spaces or tabs")
-    return np.array(text.split(), dtype=np.int64)  # int() per token
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    digit = np.concatenate(([False], raw >= ord("0"), [False]))
+    edges = np.flatnonzero(digit[1:] != digit[:-1])
+    start, end = edges[0::2], edges[1::2]
+    size = end - start
+    # 10**19 > 2**63: a nonzero digit 20 or more places from the end overflows
+    long = size > 19
+    if long.any():
+        head = np.column_stack((start[long], end[long] - 19)).ravel()
+        if np.logical_or.reduceat(raw > ord("0"), head)[::2].any():
+            raise OverflowError(_TOO_LARGE)
+    vals = np.zeros(size.size, dtype=np.uint64)  # 19 digits fit in uint64
+    for k in range(min(int(size.max(initial=0)), 19), 0, -1):
+        d = raw.take(end - k)  # never below -len(raw); masked where k > size
+        d -= ord("0")
+        d *= size >= k
+        vals *= 10
+        vals += d
+    if vals.max(initial=0) > np.iinfo(np.int64).max:
+        raise OverflowError(_TOO_LARGE)
+    return vals.astype(np.int64)
+
+
+def ints_to_text(values) -> str:
+    """The line of nonnegative integers that `ints_from_text` reads back:
+    decimal, no leading zeros, one space between values.
+
+    Row i of a (count, width + 1) byte array holds a space and then the
+    digits of values[i], filled by repeated division by 10; one mask
+    keeps the space and the digits from the leading one on, and the kept
+    bytes are decoded once.
+    """
+    x = np.asarray(values)
+    if x.size == 0:
+        return ""
+    if x.ndim != 1 or x.dtype.kind not in "iu" or x.min() < 0:
+        raise ValueError("expected a 1-d sequence of nonnegative integers")
+    width = len(str(int(x.max())))
+    cols = np.empty((x.size, width + 1), dtype=np.uint8)
+    keep = np.empty((x.size, width + 1), dtype=bool)
+    cols[:, 0] = ord(" ")
+    keep[:, 0] = True
+    for j in range(width, 0, -1):
+        keep[:, j] = x > 0  # False left of the leading digit
+        q = x // 10
+        cols[:, j] = x - 10 * q + ord("0")
+        x = q
+    keep[:, width] = True  # the units digit, of 0 too
+    return cols[keep][1:].tobytes().decode()
 
 
 class Permutation:
@@ -70,7 +130,7 @@ class Permutation:
         return int(self._images[i - 1])
 
     def to_text(self) -> str:
-        return " ".join(map(str, self._images.tolist()))
+        return ints_to_text(self._images)
 
     def __str__(self):
         return self.to_text()

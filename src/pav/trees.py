@@ -18,7 +18,7 @@ import numpy as np
 
 from .dyck import DyckPath, excursions, from_runs
 from .errors import DomainError, RangeError, TooLarge
-from .perms import ints_from_text
+from .perms import ints_from_text, ints_to_text
 
 
 class OrderedTree:
@@ -72,7 +72,7 @@ class OrderedTree:
 
     def to_text(self) -> str:
         """The parent labels of v_1..v_{N-1}, space-separated."""
-        return " ".join(map(str, self.parent[1:].tolist()))
+        return ints_to_text(self.parent[1:])
 
     def __eq__(self, other):
         if not isinstance(other, OrderedTree):

@@ -94,6 +94,10 @@ class TestMap:
         code, out, _ = run_cli(["map", "--from", "tree", "--to", "dyck", "0 1 1"], capsys=capsys)
         assert code == 0 and out == "UUDUDD\n"
 
+    def test_one_vertex_tree(self, capsys):
+        code, out, err = run_cli(["map", "--from", "tree", "--to", "tree", ""], capsys=capsys)
+        assert (code, out, err) == (0, "\n", "")
+
     def test_stdin_lines(self, capsys):
         code, out, _ = run_cli(
             ["map", "--from", "dyck", "--to", "231"],

@@ -15,17 +15,18 @@ import numpy as np
 import pav
 from pav import dyck, experiments
 from pav.errors import NotReconstructible
+from pav.perms import ints_from_text
 
 if sys.flags.optimize < 1:
     sys.exit("not running under python -O")
 
 
-def expect_raise(name, fn):
+def expect_raise(name, fn, cls=NotReconstructible):
     try:
         fn()
-    except NotReconstructible:
+    except cls:
         return
-    sys.exit(name + " did not raise NotReconstructible")
+    sys.exit(name + " did not raise " + cls.__name__)
 
 
 path = pav.from_text("UUDD")
@@ -51,6 +52,9 @@ expect_raise("moment identity", lambda: experiments.moment_replicate(50, 1))
 
 experiments.catalan = lambda n: 0
 expect_raise("oracle path count", lambda: experiments.exact_moment_oracle(3))
+# The integer-line parser's checks are plain raises too.
+expect_raise("int64 overflow", lambda: ints_from_text("9223372036854775808"), OverflowError)
+expect_raise("non-ASCII digit", lambda: ints_from_text("1 \uff12"), ValueError)
 print("ok")
 """
 

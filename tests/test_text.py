@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 import pav
 from pav import cli, trees
 from pav.errors import BadStep
-from pav.perms import Permutation
+from pav.perms import Permutation, ints_from_text, ints_to_text
 from pav.rng import substream
 from test_trees import contour_parents
 
 EDGE_TOKENS = (
     "+1", "1_0", "١٢", "1.5", "x", "99999999999999999999",
     "-1", "0", "00012", "1__0", "１", "²",
+    "9223372036854775807", "9223372036854775808",
+    "18446744073709551616",  # 2**64: wraps a bare uint64
+    "0" * 25 + "12", "1\t2",
 )
 EDGE_LINES = (
     "", " ", "\t", *EDGE_TOKENS, "1 +2", "3 1_0",
@@ -51,8 +54,12 @@ def int_line_oracle(text):
     return [int(tok) for tok in text.split()]
 
 
+def ints_oracle(text):
+    return np.array(int_line_oracle(text), dtype=np.int64)
+
+
 def perm_from_text_oracle(text):
-    return Permutation(np.array(int_line_oracle(text), dtype=np.int64))
+    return Permutation(ints_oracle(text))
 
 
 def perm_to_text_oracle(perm):
@@ -84,10 +91,17 @@ def outcome(parse, text):
         obj = parse(text)
     except Exception as exc:  # the class is the observable outcome
         return type(exc)
+    if isinstance(obj, np.ndarray):
+        return obj.dtype, obj.tobytes()
     return getattr(obj, _DATA[type(obj)]).tobytes()
 
 
-tokens = st.one_of(st.sampled_from(EDGE_TOKENS), st.integers(-3, 40).map(str))
+tokens = st.one_of(
+    st.sampled_from(EDGE_TOKENS),
+    st.integers(-3, 40).map(str),
+    st.integers(0, 2**65).map(str),
+    st.builds(lambda pad, v: "0" * pad + str(v), st.integers(0, 30), st.integers(0, 2**65)),
+)
 lines = st.one_of(
     st.lists(tokens, max_size=12).map(" ".join),
     st.permutations(range(1, 13)).map(lambda p: " ".join(map(str, p))),
@@ -117,6 +131,36 @@ class TestPathText:
         assert pav.from_text("").to_text() == path_to_text_oracle(pav.from_text("")) == ""
 
 
+class TestIntLine:
+    @pytest.mark.parametrize("text", EDGE_LINES)
+    def test_edge_lines(self, text):
+        assert outcome(ints_from_text, text) == outcome(ints_oracle, text)
+
+    @given(lines)
+    @settings(max_examples=300, deadline=None)
+    def test_parse_matches_oracle(self, text):
+        assert outcome(ints_from_text, text) == outcome(ints_oracle, text)
+
+    def test_leading_zeros_at_any_length(self):
+        # beyond the 4,300 digits CPython's int() converts by default
+        assert ints_from_text("0" * 5000 + "12 " + "0" * 5000).tolist() == [12, 0]
+        with pytest.raises(OverflowError):
+            ints_from_text("1" + "0" * 5000)
+        with pytest.raises(OverflowError):
+            ints_from_text("7 " + "0" * 30 + "1" + "0" * 19)
+
+    def test_format_matches_join(self):
+        values = [0, 9, 10, 99, 100, 2**63 - 1]
+        assert ints_to_text(values) == " ".join(map(str, values))
+        assert ints_to_text([]) == ""
+        for bad in ([3, -1], [1.0], [[1]]):
+            with pytest.raises(ValueError):
+                ints_to_text(bad)
+
+
+DIGIT_BOUNDARIES = (9, 10, 99, 100, 9999, 10000, 100000)
+
+
 class TestPermText:
     @pytest.mark.parametrize("text", EDGE_LINES)
     def test_edge_lines(self, text):
@@ -131,6 +175,12 @@ class TestPermText:
     @settings(max_examples=60, deadline=None)
     def test_format_matches_oracle(self, n, seed):
         perm = Permutation(substream(seed).permutation(n) + 1)
+        assert perm.to_text().encode() == perm_to_text_oracle(perm).encode()
+        assert Permutation(perm.to_text()) == perm
+
+    @pytest.mark.parametrize("n", DIGIT_BOUNDARIES)
+    def test_format_across_digit_counts(self, n):
+        perm = Permutation(substream(n).permutation(n) + 1)
         assert perm.to_text().encode() == perm_to_text_oracle(perm).encode()
         assert Permutation(perm.to_text()) == perm
 
@@ -154,3 +204,16 @@ class TestTreeText:
         text = cli._from_path("tree", path)
         assert text.encode() == tree_to_text_oracle(path).encode()
         assert trees.to_contour(parse_tree(text)) == path
+
+    @pytest.mark.parametrize("n", DIGIT_BOUNDARIES)
+    def test_format_across_digit_counts(self, n):
+        # the stick U^(n+1) D^(n+1) has the parents 0..n: every digit count up to n's
+        stick = pav.DyckPath([1] * (n + 1) + [-1] * (n + 1))
+        for path in (pav.sample_uniform(n, substream(n)), stick):
+            text = cli._from_path("tree", path)
+            assert text.encode() == tree_to_text_oracle(path).encode()
+            assert trees.to_contour(parse_tree(text)) == path
+
+    def test_one_vertex_tree(self):
+        tree = trees.OrderedTree("")
+        assert tree.size == 1 and tree.to_text() == ""
