@@ -81,8 +81,7 @@ class DyckPath:
         return self._heights
 
     def to_text(self) -> str:
-        codes = np.where(self._steps == 1, ord("U"), ord("D"))
-        return codes.astype(np.uint8).tobytes().decode()
+        return self._steps.tobytes().translate(_TEXT_OF_STEP).decode()
 
     def __str__(self):
         return self.to_text()
@@ -102,12 +101,17 @@ class DyckPath:
         return hash(self._steps.tobytes())
 
 
+# the int8 steps +1 and -1 are the bytes 0x01 and 0xff
+_TEXT_OF_STEP = bytes.maketrans(b"\x01\xff", b"UD")
+_STEP_OF_TEXT = bytes.maketrans(b"UD", b"\x01\xff")
+
+
 def _steps_from_text(text: str) -> np.ndarray:
-    if not text.isascii() or text.encode().translate(None, b"UD"):
+    raw = text.encode()
+    if not text.isascii() or raw.translate(None, b"UD"):
         bad = set(text) - {"U", "D"}
         raise BadStep(f"unexpected step characters: {sorted(bad)!r}")
-    codes = np.frombuffer(text.encode(), dtype=np.uint8)
-    return np.where(codes == ord("U"), 1, -1).astype(np.int8)
+    return np.frombuffer(raw.translate(_STEP_OF_TEXT), dtype=np.int8)
 
 
 def from_text(text: str) -> DyckPath:
@@ -161,16 +165,21 @@ def sample_uniform(n: int, seed) -> DyckPath:
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = as_generator(seed)
-    arr = np.empty(2 * n + 1, dtype=np.int8)
-    arr[:n] = 1
-    arr[n:] = -1
-    rng.shuffle(arr)
-    prefix = arr.astype(np.int64)
-    np.cumsum(prefix, out=prefix)
-    k = int(np.argmin(prefix))  # first position attaining the minimum
-    rotated = np.roll(arr, -(k + 1))
+    walk = np.empty(2 * n + 2, dtype=np.int64)  # walk[0] = 0 is the empty prefix
+    walk[0] = 0
+    walk[1:n + 1] = 1
+    walk[n + 1:] = -1
+    # Fisher-Yates makes the same draws at any dtype; numpy swaps int64 fastest
+    rng.shuffle(walk[1:])
+    np.cumsum(walk, out=walk)  # walk[i]: the sum of the first i shuffled steps
+    k = int(np.argmin(walk[1:]))  # first position attaining the minimum
+    # the rotation after step k, less its final step: steps k+1..2n, then 0..k-1
+    rotated = np.empty(2 * n, dtype=np.int8)
+    np.subtract(walk[k + 2:], walk[k + 1:-1], out=rotated[:2 * n - k], casting="unsafe")
+    np.subtract(walk[1:k + 1], walk[:k], out=rotated[2 * n - k:], casting="unsafe")
+    del walk  # freed before the path's int64 heights are built
     try:
-        return DyckPath(rotated[:-1])
+        return DyckPath(rotated)
     except InvalidPath as exc:  # also a dropped step other than -1
         raise NotReconstructible(f"cycle-lemma rotation is not a Dyck path: {exc}") from exc
 

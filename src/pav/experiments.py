@@ -4,8 +4,11 @@ statements into finite-n convergence measurements.
 Each replicate is a pure function of (master seed, n, replicate index),
 so reports are bitwise reproducible at any worker count.  Sup distances
 between the scaled path and the interpolated exceedance functions are
-exact maxima over the lattice x/(2n), which holds every knot of both,
-swept in cache-sized blocks.  Exact targets come from closed forms:
+exact maxima over the lattice x/(2n), which holds every knot of both.
+The values at the exceedance knots are exact and give a lower bound; a
+segment between knots is swept, in cache-sized blocks, only if a bound
+on its values reaches it, so the result is the whole sweep's bit for
+bit.  Exact targets come from closed forms:
 the moment oracle's E[sum_x gamma(x)] = (4^n - binom(2n+1, n)) / C_n,
 and the subtree theorem's E[hat_xi_k] = k (2n+3-2k) T_k / (2 (n+1) C_n)
 - 1/2 with T_k = C_{k-1} binom(2(n+1-k), n+1-k), its tail sum
@@ -33,7 +36,7 @@ from .parallel import effective_workers, replicate_map
 from .perms import exceedance_sets, max_deficit, scaled_function
 from .petrov import check_petrov
 from .rng import as_generator, substream
-from .scaled import sorted_unique
+from .scaled import ScaledFunction, sorted_unique
 from .trees import catalan, expected_hat_xi, subtree_size_limit
 
 
@@ -41,23 +44,104 @@ from .trees import catalan, expected_hat_xi, subtree_size_limit
 # pathwise statistics
 
 
-# Lattice points per block of the coupling sweeps.  Block temporaries this
-# size are reused from the allocator's heap, where full-lattice ones were
-# freshly mapped and faulted in on every call.  At n = 1e5, blocks of 2**11
-# lose to per-block overhead, 2**14 and 2**15 are fastest, and 2**16 brings
-# the page faults back.
+# Lattice points per block of the coupling sweeps, and knots per block of
+# the knot pass before them.  Block temporaries this size are reused from
+# the allocator's heap, where full-lattice ones were freshly mapped and
+# faulted in on every call.  At n = 1e5, blocks of 2**11 lose to per-block
+# overhead, 2**14 and 2**15 are fastest, and 2**16 brings the page faults
+# back.
 LATTICE_BLOCK = 1 << 14
 
+# The sweep of candidate segments visits whole windows of this many lattice
+# points, aligned at its multiples; consecutive windows make one run, so its
+# arrays come in sizes that repeat from call to call.  The size moves glibc
+# malloc's heap in the mc-coupling benchmark: runs cut to each segment raised
+# peak RSS by 3 to 8 MB; windows of 2**11 cost 1 to 2 MB and keep the heap
+# resident, so its ops take no page faults (the full sweep took about 4,400
+# per op, 12 ms of system time); windows of 2**10 kept RSS level and the
+# faults.  At n = 1e5 a block costs about 40 us and a point about 20 ns.
+SWEEP_WINDOW = 1 << 11
 
-def _lattice_blocks(path: DyckPath):
-    """(lo, hi, G on x in [lo, hi)) over the lattice x = 0..2n in blocks of
-    LATTICE_BLOCK, an even size, so every block starts at an even x.  G is
-    the scaled path: heights / sqrt(2n), the bits of scaled_path(path).y."""
+
+def _lattice_blocks(path: DyckPath, runs):
+    """(lo, hi, G on x in [lo, hi)) over the lattice runs [start, stop) in
+    blocks of at most LATTICE_BLOCK points.  G is the scaled path:
+    heights / sqrt(2n), the bits of scaled_path(path).y."""
+    scale = np.sqrt(2 * path.n)
+    for start, stop in runs:
+        for lo in range(start, stop, LATTICE_BLOCK):
+            hi = min(lo + LATTICE_BLOCK, stop)
+            yield lo, hi, path.heights[lo:hi] / scale
+
+
+def _candidate_segments(path: DyckPath, f: ScaledFunction, op) -> tuple[float, np.ndarray]:
+    """(best, candidate) for the sup over x = 0..2n of |op(G, f)| at
+    x/(2n), op np.add or np.subtract.
+
+    best is the maximum over f's knots, where f's value is its stored
+    ordinate, so best is a value of the lattice sweep bit for bit.
+    candidate[j] says whether a lattice point inside the segment between
+    knots j and j + 1 can exceed best; no point of another segment can.
+
+    On a segment of L lattice steps f is linear, so op(G, f) is its chord
+    plus G's deviation from G's chord, and a +-1 walk deviates from its
+    chord by at most L/2 steps: |op(G, f)| <= max(|d0|, |d1|) + L/(2 sqrt(2n))
+    in exact arithmetic, d0 and d1 the knot values.  Every value and bound
+    compared here is at most T = sqrt(2n) + max|y| (|G| <= n/sqrt(2n) and
+    L <= 2n), and its float rounding, the interpolation's included, is
+    under 16 u T, u = 2**-53.  The margin is 2**-44 T, 32 times that, so a
+    segment is left out only if each of its computed values is below best.
+
+    The knot values are taken in blocks of LATTICE_BLOCK knots, so the only
+    arrays of the knots' size are the bounds and the answer.
+    """
     den = 2 * path.n
     scale = np.sqrt(den)
-    for lo in range(0, den + 1, LATTICE_BLOCK):
-        hi = min(lo + LATTICE_BLOCK, den + 1)
-        yield lo, hi, path.heights[lo:hi] / scale
+    m = den // f.t_den
+    margin = 2.0**-44 * (scale + max(f.y.max(), -f.y.min()))
+    step = m / (2 * scale)  # half a segment's lattice steps, scaled, per knot gap
+    bound = np.empty(len(f) - 1)
+    best = -np.inf
+    for lo in range(0, len(f) - 1, LATTICE_BLOCK):
+        t = f.t_num[lo:lo + LATTICE_BLOCK + 1]
+        d = path.heights[t * m] / scale
+        d = np.abs(op(d, f.y[lo:lo + t.size], out=d), out=d)
+        best = max(best, d.max())
+        b = np.multiply(np.diff(t), step, out=bound[lo:lo + t.size - 1])
+        b += np.maximum(d[:-1], d[1:])
+    return float(best), bound >= best - margin
+
+
+def _sweep_runs(f: ScaledFunction, den: int, candidate: np.ndarray) -> list:
+    """The lattice runs [start, stop) of consecutive SWEEP_WINDOW windows
+    that meet a candidate segment, in order."""
+    m = den // f.t_den
+    # the segment of each window's first point, and those up to the next one's
+    first = np.searchsorted(f.t_num, np.arange(0, den + 1, SWEEP_WINDOW) // m, side="right") - 1
+    np.minimum(first, candidate.size - 1, out=first)
+    hit = np.logical_or.reduceat(candidate, first)
+    hit[:-1] |= candidate[first[1:]]  # a segment that runs on into the next window
+    runs = []
+    for w, h in enumerate(hit.tolist()):
+        if h:
+            start, stop = w * SWEEP_WINDOW, min((w + 1) * SWEEP_WINDOW, den + 1)
+            if runs and runs[-1][1] == start:
+                runs[-1][1] = stop
+            else:
+                runs.append([start, stop])
+    return runs
+
+
+def _lattice_sup(path: DyckPath, f: ScaledFunction, op) -> float:
+    """max over x = 0..2n of |op(G, f)| at x/(2n): the bits of a sweep
+    over every lattice point, which sweeps only the windows that hold a
+    candidate segment."""
+    best, candidate = _candidate_segments(path, f, op)
+    den = 2 * path.n
+    for lo, hi, g in _lattice_blocks(path, _sweep_runs(f, den, candidate)):
+        v = op(g, f.eval_lattice(den, lo, hi), out=g)
+        best = max(best, np.abs(v, out=v).max())
+    return float(best)
 
 
 def coupling_321(path: DyckPath) -> tuple[float, float, float]:
@@ -70,22 +154,25 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     They equal sup_distance(G, F_plus), sup_distance(G, -F_minus) and
     sup_distance(F_plus, -F_minus) bit for bit, G = scaled_path(path).
     Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
-    maxima over that lattice, swept in blocks (ScaledFunction.eval_lattice):
-    G's values are its ordinates, negation is exact, and F_plus + F_minus
-    has its knots at the even points, the union grid of that pair.
+    maxima over that lattice: G's values are its ordinates, negation is
+    exact, and a - (-b) == a + b in IEEE arithmetic.  The first two take
+    the exact values at F's knots and sweep only the windows holding a
+    segment whose bound reaches their maximum (_candidate_segments).  F_plus + F_minus has its
+    knots at the even points x = 2a, the union grid of that pair; it is
+    swept at a/n, whose values are those at 2a/(2n) bit for bit, since
+    2p/2q == p/q in IEEE arithmetic.
     """
     tau = bij321.forward(path)
-    den = 2 * path.n
+    n = path.n
     f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-    d_plus = d_minus = d_mirror = 0.0
-    for lo, hi, g in _lattice_blocks(path):
-        fp = f_plus.eval_lattice(den, lo, hi)
-        fm = f_minus.eval_lattice(den, lo, hi)
-        mirror = np.add(fp[::2], fm[::2])
+    d_mirror = 0.0
+    for lo in range(0, n + 1, LATTICE_BLOCK):
+        hi = min(lo + LATTICE_BLOCK, n + 1)
+        mirror = np.add(f_plus.eval_lattice(n, lo, hi), f_minus.eval_lattice(n, lo, hi))
         d_mirror = max(d_mirror, np.abs(mirror, out=mirror).max())
-        d_plus = max(d_plus, np.abs(np.subtract(g, fp, out=fp), out=fp).max())
-        d_minus = max(d_minus, np.abs(np.add(g, fm, out=fm), out=fm).max())
-    return float(d_plus), float(d_minus), float(d_mirror)
+    d_plus = _lattice_sup(path, f_plus, np.subtract)
+    d_minus = _lattice_sup(path, f_minus, np.add)
+    return d_plus, d_minus, float(d_mirror)
 
 
 def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
@@ -103,16 +190,13 @@ def coupling_231(path: DyckPath, index_set) -> float:
     An empty index set gives the anchor-only zero function.
 
     Equals sup_distance(scaled_path(path), -f) bit for bit: every knot
-    lies on the lattice x/(2n), swept in blocks (eval_lattice), G's values
-    there are its ordinates, and a - (-b) == a + b in IEEE arithmetic.
+    lies on the lattice x/(2n), G's values there are its ordinates, and
+    a - (-b) == a + b in IEEE arithmetic.  The sup takes the exact values
+    at f's knots and sweeps only the windows holding a segment whose bound
+    reaches their maximum (_candidate_segments); the empty set's one
+    segment is the whole lattice.
     """
-    f = scaled_function(bij231.forward(path), index_set)
-    den = 2 * path.n
-    d = 0.0
-    for lo, hi, g in _lattice_blocks(path):
-        fv = f.eval_lattice(den, lo, hi)
-        d = max(d, np.abs(np.add(g, fv, out=fv), out=fv).max())
-    return float(d)
+    return _lattice_sup(path, scaled_function(bij231.forward(path), index_set), np.add)
 
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Core path machinery: validation, enumeration, sampling, runs,
 excursions, scaling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from pav.errors import (
     OddLength,
     TooLarge,
 )
-from pav.rng import substream
+from pav.rng import as_generator, substream
 
 # Catalan numbers from the convolution recurrence, independent of the library.
 CATALAN = [1]
@@ -164,7 +166,40 @@ class TestEnumerate:
             next(pav.enumerate_all(17))
 
 
+def sample_by_int8_shuffle(n, seed):
+    """The cycle-lemma sampler as first written, kept as the oracle for the
+    draws: shuffle an int8 buffer, rotate past the first prefix minimum and
+    drop the final step."""
+    rng = as_generator(seed)
+    arr = np.empty(2 * n + 1, dtype=np.int8)
+    arr[:n] = 1
+    arr[n:] = -1
+    rng.shuffle(arr)
+    k = int(np.argmin(np.cumsum(arr, dtype=np.int64)))
+    return np.roll(arr, -(k + 1))[:-1]
+
+
+# SHA-256 of sample_uniform(100_000, substream(0)).steps, as int8 bytes
+STEPS_SHA256_1E5 = "b4c87b1b586ab39fb638d44d9f99c05dd4f21711e2a35682ddfdc98039020aac"
+
+
 class TestSampleUniform:
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_000])
+    def test_draws_match_int8_shuffle(self, n):
+        for seed in (0, 2**63 + 5):  # an int seed derives its own substream
+            assert np.array_equal(pav.sample_uniform(n, seed).steps,
+                                  sample_by_int8_shuffle(n, seed))
+        # from a Generator, consecutive draws leave the stream where the oracle does
+        ours, theirs = substream(n, 4), substream(n, 4)
+        for _ in range(3):
+            assert np.array_equal(pav.sample_uniform(n, ours).steps,
+                                  sample_by_int8_shuffle(n, theirs))
+        assert ours.integers(2**62) == theirs.integers(2**62)
+
+    def test_steps_frozen_across_versions(self):
+        steps = pav.sample_uniform(100_000, substream(0)).steps
+        assert hashlib.sha256(steps.tobytes()).hexdigest() == STEPS_SHA256_1E5
+
     def test_n1_only_path(self):
         for seed in range(5):
             assert pav.sample_uniform(1, seed).to_text() == "UD"

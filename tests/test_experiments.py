@@ -16,6 +16,7 @@ from pav.errors import BadConfig, TooLarge
 from pav.experiments import (
     LATTICE_BLOCK,
     REPLICATES,
+    SWEEP_WINDOW,
     ExperimentConfig,
     coupling_231,
     coupling_321,
@@ -25,6 +26,8 @@ from pav.experiments import (
     random_index_set,
     run_experiment,
     se_set,
+    _candidate_segments,
+    _sweep_runs,
     _paths_within,
 )
 from pav.perms import exceedance_sets, inversions, scaled_function
@@ -60,6 +63,100 @@ def assert_231_is_sup_sum(path, seed):
         assert coupling_231(path, b) == sup_distance(g, -scaled_function(sigma, b))
     zero = pav.ScaledFunction(np.array([0, n]), n, np.zeros(2))
     assert coupling_231(path, np.array([], dtype=np.int64)) == sup_distance(g, -zero)
+
+
+@st.composite
+def tent_path_and_knots(draw):
+    """A path of tents U^h D^h and a random subset of the tent bases as the
+    index set: on a segment spanning whole tents, G's deviation from its
+    chord reaches L/2 at an apex, where the segment bound is tight."""
+    heights = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
+    bases = np.cumsum(heights)[:-1]
+    keep = draw(st.lists(st.booleans(), min_size=bases.size, max_size=bases.size))
+    path = pav.from_text("".join("U" * h + "D" * h for h in heights))
+    return path, bases[np.array(keep, dtype=bool)]
+
+
+@st.composite
+def path_and_index_set(draw):
+    """Sampled paths at small sizes and at the block edges, with sparse
+    random_index-style sets (every segment a candidate), the empty set (one
+    segment over the whole lattice), the se_set and the full set; or tents."""
+    if draw(st.booleans()):
+        return draw(tent_path_and_knots())
+    seed = draw(st.integers(0, 2**32))
+    n = draw(st.one_of(st.integers(1, 400), st.sampled_from(
+        [LATTICE_BLOCK // 2 - 1, LATTICE_BLOCK // 2, LATTICE_BLOCK - 1, LATTICE_BLOCK,
+         LATTICE_BLOCK + 1])))
+    path = pav.sample_uniform(n, substream(seed))
+    kind = draw(st.sampled_from(["sparse", "empty", "se_set", "full"]))
+    if kind == "sparse":
+        return path, random_index_set(n, draw(st.integers(1, 8)), substream(seed, 1))
+    if kind == "empty":
+        return path, np.array([], dtype=np.int64)
+    if kind == "se_set":
+        return path, se_set(path, 1.0, 0.4)
+    return path, np.arange(1, n + 1)
+
+
+class TestCandidateSegments:
+    @given(path_and_index_set())
+    @settings(max_examples=60, deadline=None)
+    def test_couplings_equal_sup_distance_bit_for_bit(self, case):
+        path, b = case
+        g = pav.dyck.scaled_path(path)
+        assert coupling_231(path, b) == sup_distance(g, -scaled_function(bij231.forward(path), b))
+        assert_321_is_public_sups(path)
+
+    def test_candidates_cover_under_one_percent_at_1e5(self):
+        n = 100_000
+        path = pav.sample_uniform(n, substream(0))
+        tau = pav.bij321.forward(path)
+        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+        f_231 = scaled_function(bij231.forward(path), se_set(path, 1.0, 0.4))
+        for f, op in ((f_plus, np.subtract), (f_minus, np.add), (f_231, np.add)):
+            _, candidate = _candidate_segments(path, f, op)
+            covered = 2 * int(np.diff(f.t_num)[candidate].sum())  # lattice steps
+            assert 0 < covered < 0.01 * (2 * n + 1)
+
+    @given(st.integers(1, 3 * SWEEP_WINDOW), st.integers(0, 2**32), st.integers(0, 200),
+           st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_sweep_runs_hold_every_candidate_segment(self, n, seed, knots, count):
+        # a few candidates, as at n = 1e5, so most windows hold none; few
+        # knots make segments that run across window edges
+        rng = substream(seed)
+        index_set = rng.integers(0, n + 1, size=knots)
+        f = scaled_function(bij231.forward(pav.sample_uniform(n, rng)), index_set)
+        candidate = np.zeros(len(f) - 1, dtype=bool)
+        candidate[rng.integers(0, candidate.size, size=count)] = True
+        runs = _sweep_runs(f, 2 * n, candidate)
+        swept = np.zeros(2 * n + 1, dtype=bool)
+        for start, stop in runs:
+            assert start % SWEEP_WINDOW == 0 and not swept[start:stop].any()
+            swept[start:stop] = True
+        x = 2 * f.t_num
+        for j in np.flatnonzero(candidate):
+            assert swept[x[j] + 1:x[j + 1]].all()
+
+    def test_segment_whose_bound_ties_best_is_swept(self):
+        # tents of height 2 between knots on the floor, sqrt(2n) = 4 exactly:
+        # the outer segments' bound 0 + 4 / (2 * 4) equals the knot maximum
+        # 0.5, and rounding could lift their apex above it, so they are swept
+        path = pav.from_text("UUDD" * 4)
+        f = pav.ScaledFunction([0, 2, 4, 6, 8], 8, [0.0, 0.0, 0.5, 0.0, 0.0])
+        best, candidate = _candidate_segments(path, f, np.add)
+        assert best == 0.5 and candidate.tolist() == [True] * 4
+
+    def test_tent_bound_is_tight(self):
+        # one tent, knots only at its ends: the apex is n = L/2 steps above
+        # the chord, so the sup is the segment's bound exactly
+        n = 50
+        path = pav.from_text("U" * n + "D" * n)
+        f = scaled_function(bij231.forward(path), [])
+        best, candidate = _candidate_segments(path, f, np.add)
+        assert best == 0.0 and candidate.tolist() == [True]
+        assert coupling_231(path, []) == n / math.sqrt(2 * n)
 
 
 class TestCoupling321:
@@ -107,7 +204,8 @@ def traced_peak_mib(fn) -> float:
 class TestCouplingMemory:
     def test_no_full_size_lattice_temporaries(self):
         """At n = 1e5 a lattice-sized float64 array is 1.5 MiB.  Measured
-        peaks are 4.96 (321) and 3.78 MiB (231); full-lattice evaluation
+        peaks are 5.77 (321) and 4.46 MiB (231), reached before the sup,
+        in the forward map and scaled_function; full-lattice evaluation
         peaked at 13.7 and 12.8 MiB."""
         path = pav.sample_uniform(100_000, substream(0))
         path.heights, pav.excursions(path)  # cached on the path beforehand
