@@ -56,10 +56,10 @@ LATTICE_BLOCK = 1 << 14
 # points, aligned at its multiples; consecutive windows make one run, so its
 # arrays come in sizes that repeat from call to call.  The size moves glibc
 # malloc's heap in the mc-coupling benchmark: runs cut to each segment raised
-# peak RSS by 3 to 8 MB; windows of 2**11 cost 1 to 2 MB and keep the heap
-# resident, so its ops take no page faults (the full sweep took about 4,400
-# per op, 12 ms of system time); windows of 2**10 kept RSS level and the
-# faults.  At n = 1e5 a block costs about 40 us and a point about 20 ns.
+# peak RSS by 3 to 8 MB; windows of 2**11 cost 1 to 2 MB.  Whether the
+# heap's pages stay mapped from op to op is settled by replicate_map
+# (parallel._keep_heap_resident), not by this size.  At n = 1e5 a block
+# costs about 40 us and a point about 20 ns.
 SWEEP_WINDOW = 1 << 11
 
 

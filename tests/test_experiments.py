@@ -2,8 +2,14 @@
 
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -576,6 +582,35 @@ class TestPool:
     def test_env_worker_count(self, monkeypatch, env, workers):
         monkeypatch.setenv("PAV_THREADS", env)
         assert parallel.effective_workers(None) == workers
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the settings are glibc's")
+    def test_heap_pages_reused(self):
+        # A fresh interpreter, whose malloc thresholds no earlier test moved.
+        # 3 MiB is mapped afresh (768 page faults) at glibc's defaults, and
+        # under numpy's 4 MiB huge-page cut-off.
+        code = (
+            "import resource, numpy as np\n"
+            "from pav import parallel\n"
+            "parallel.replicate_map(abs, range(1), 1)\n"
+            "assert parallel._keep_heap_resident()\n"
+            "np.ones(3 << 17)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "np.ones(3 << 17)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pav.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True,
+                             text=True, env=env)
+        assert int(out.stdout) < 100
+
+    def test_heap_trimmed_before_fork(self, monkeypatch, recording_pool):
+        calls = []
+        monkeypatch.setattr(parallel, "_LIBC", SimpleNamespace(malloc_trim=calls.append))
+        monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(2)))
+        parallel.replicate_map(abs, range(4), 1)
+        assert calls == []
+        parallel.replicate_map(abs, range(4), 2)
+        assert calls == [0] and recording_pool.sizes == [2]
 
     def test_one_pool_per_grid(self, monkeypatch, recording_pool):
         monkeypatch.setattr(parallel.os, "sched_getaffinity", lambda pid: set(range(4)))
