@@ -44,34 +44,12 @@ from .trees import catalan, expected_hat_xi, subtree_size_limit
 # pathwise statistics
 
 
-# Lattice points per block of the coupling sweeps, and knots per block of
-# the knot pass before them.  Block temporaries this size are reused from
-# the allocator's heap, where full-lattice ones were freshly mapped and
-# faulted in on every call.  At n = 1e5, blocks of 2**11 lose to per-block
-# overhead, 2**14 and 2**15 are fastest, and 2**16 brings the page faults
-# back.
+# Lattice points per block of the coupling sweeps and knots per block of the
+# knot pass before them.  At n = 1e5 the blocks hold coupling_321's traced
+# peak at 5.77 MiB, the forward map's, up to 2**15 (2**16: 6.82 MiB,
+# unblocked: 8.40); times from 2**13 up agree within noise, and 2**12 adds
+# per-block overhead.
 LATTICE_BLOCK = 1 << 14
-
-# The sweep of candidate segments visits whole windows of this many lattice
-# points, aligned at its multiples; consecutive windows make one run, so its
-# arrays come in sizes that repeat from call to call.  The size moves glibc
-# malloc's heap in the mc-coupling benchmark: runs cut to each segment raised
-# peak RSS by 3 to 8 MB; windows of 2**11 cost 1 to 2 MB.  Whether the
-# heap's pages stay mapped from op to op is settled by replicate_map
-# (parallel._keep_heap_resident), not by this size.  At n = 1e5 a block
-# costs about 40 us and a point about 20 ns.
-SWEEP_WINDOW = 1 << 11
-
-
-def _lattice_blocks(path: DyckPath, runs):
-    """(lo, hi, G on x in [lo, hi)) over the lattice runs [start, stop) in
-    blocks of at most LATTICE_BLOCK points.  G is the scaled path:
-    heights / sqrt(2n), the bits of scaled_path(path).y."""
-    scale = np.sqrt(2 * path.n)
-    for start, stop in runs:
-        for lo in range(start, stop, LATTICE_BLOCK):
-            hi = min(lo + LATTICE_BLOCK, stop)
-            yield lo, hi, path.heights[lo:hi] / scale
 
 
 def _candidate_segments(path: DyckPath, f: ScaledFunction, op) -> tuple[float, np.ndarray]:
@@ -113,35 +91,36 @@ def _candidate_segments(path: DyckPath, f: ScaledFunction, op) -> tuple[float, n
 
 
 def _sweep_runs(f: ScaledFunction, den: int, candidate: np.ndarray) -> list:
-    """The lattice runs [start, stop) of consecutive SWEEP_WINDOW windows
-    that meet a candidate segment, in order."""
-    m = den // f.t_den
-    # the segment of each window's first point, and those up to the next one's
-    first = np.searchsorted(f.t_num, np.arange(0, den + 1, SWEEP_WINDOW) // m, side="right") - 1
-    np.minimum(first, candidate.size - 1, out=first)
-    hit = np.logical_or.reduceat(candidate, first)
-    hit[:-1] |= candidate[first[1:]]  # a segment that runs on into the next window
-    runs = []
-    for w, h in enumerate(hit.tolist()):
-        if h:
-            start, stop = w * SWEEP_WINDOW, min((w + 1) * SWEEP_WINDOW, den + 1)
-            if runs and runs[-1][1] == start:
-                runs[-1][1] = stop
-            else:
-                runs.append([start, stop])
-    return runs
+    """The lattice runs [start, stop), in order: the interiors of the maximal
+    runs of consecutive candidate segments of f on the lattice x/den.  The
+    knots inside a run are swept again; their values are already exact."""
+    edge = np.flatnonzero(np.diff(candidate, prepend=False, append=False))
+    knots = f.t_num[edge] * (den // f.t_den)  # a run's first knot, then the one after its last
+    return list(zip((knots[::2] + 1).tolist(), knots[1::2].tolist()))
+
+
+def _sweep(den: int, runs, f: ScaledFunction, g, op, best: float) -> float:
+    """max(best, |op(g, f)| at x/den over x in the lattice runs [start, stop)),
+    in blocks of at most LATTICE_BLOCK points; g(lo, hi) gives the other
+    function's values on the block [lo, hi), a fresh array op overwrites."""
+    for start, stop in runs:
+        for lo in range(start, stop, LATTICE_BLOCK):
+            hi = min(lo + LATTICE_BLOCK, stop)
+            v = g(lo, hi)
+            op(v, f.eval_lattice(den, lo, hi), out=v)
+            best = max(best, np.abs(v, out=v).max())
+    return float(best)
 
 
 def _lattice_sup(path: DyckPath, f: ScaledFunction, op) -> float:
-    """max over x = 0..2n of |op(G, f)| at x/(2n): the bits of a sweep
-    over every lattice point, which sweeps only the windows that hold a
-    candidate segment."""
+    """max over x = 0..2n of |op(G, f)| at x/(2n), G the scaled path
+    heights / sqrt(2n): the bits of a sweep over every lattice point, which
+    sweeps only the candidate segments."""
     best, candidate = _candidate_segments(path, f, op)
     den = 2 * path.n
-    for lo, hi, g in _lattice_blocks(path, _sweep_runs(f, den, candidate)):
-        v = op(g, f.eval_lattice(den, lo, hi), out=g)
-        best = max(best, np.abs(v, out=v).max())
-    return float(best)
+    scale = np.sqrt(den)
+    return _sweep(den, _sweep_runs(f, den, candidate), f,
+                  lambda lo, hi: path.heights[lo:hi] / scale, op, best)
 
 
 def coupling_321(path: DyckPath) -> tuple[float, float, float]:
@@ -156,8 +135,8 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
     maxima over that lattice: G's values are its ordinates, negation is
     exact, and a - (-b) == a + b in IEEE arithmetic.  The first two take
-    the exact values at F's knots and sweep only the windows holding a
-    segment whose bound reaches their maximum (_candidate_segments).  F_plus + F_minus has its
+    the exact values at F's knots and sweep only the segments whose bound
+    reaches their maximum (_candidate_segments).  F_plus + F_minus has its
     knots at the even points x = 2a, the union grid of that pair; it is
     swept at a/n, whose values are those at 2a/(2n) bit for bit, since
     2p/2q == p/q in IEEE arithmetic.
@@ -165,14 +144,8 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     tau = bij321.forward(path)
     n = path.n
     f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-    d_mirror = 0.0
-    for lo in range(0, n + 1, LATTICE_BLOCK):
-        hi = min(lo + LATTICE_BLOCK, n + 1)
-        mirror = np.add(f_plus.eval_lattice(n, lo, hi), f_minus.eval_lattice(n, lo, hi))
-        d_mirror = max(d_mirror, np.abs(mirror, out=mirror).max())
-    d_plus = _lattice_sup(path, f_plus, np.subtract)
-    d_minus = _lattice_sup(path, f_minus, np.add)
-    return d_plus, d_minus, float(d_mirror)
+    return (_lattice_sup(path, f_plus, np.subtract), _lattice_sup(path, f_minus, np.add),
+            _sweep(n, [(0, n + 1)], f_minus, functools.partial(f_plus.eval_lattice, n), np.add, 0.0))
 
 
 def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
@@ -192,9 +165,9 @@ def coupling_231(path: DyckPath, index_set) -> float:
     Equals sup_distance(scaled_path(path), -f) bit for bit: every knot
     lies on the lattice x/(2n), G's values there are its ordinates, and
     a - (-b) == a + b in IEEE arithmetic.  The sup takes the exact values
-    at f's knots and sweeps only the windows holding a segment whose bound
-    reaches their maximum (_candidate_segments); the empty set's one
-    segment is the whole lattice.
+    at f's knots and sweeps only the segments whose bound reaches their
+    maximum (_candidate_segments); the empty set's one segment is the
+    whole lattice.
     """
     return _lattice_sup(path, scaled_function(bij231.forward(path), index_set), np.add)
 

@@ -194,7 +194,7 @@ def test_a07_moment_constants():
     cfg = ExperimentConfig(
         theorem_id="moments", n_grid=(100_000,), replicates=2000, seed=777
     )
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, workers=2)  # the report is the same at any count (A12)
     inv_row = report.rows(statistic="inversions_scaled")[0]
     inv_mean = inv_row["mean"]
     max_mean = report.rows(statistic="max_scaled")[0]["mean"]
@@ -231,7 +231,7 @@ def test_a08_invariance_trends():
     cfg = ExperimentConfig(
         theorem_id="thm321", n_grid=TREND_GRID, replicates=TREND_REPLICATES, seed=8001
     )
-    rep = run_experiment(cfg)
+    rep = run_experiment(cfg, workers=2)  # the report is the same at any count (A12)
     for stat in ("d_plus", "d_minus", "d_mirror"):
         med = _medians(rep, stat)
         assert decreasing(med), (stat, med)
@@ -241,7 +241,7 @@ def test_a08_invariance_trends():
         theorem_id="thm231", n_grid=TREND_GRID, replicates=TREND_REPLICATES,
         seed=8002, c=1.0, alpha=0.4,
     )
-    med = _medians(run_experiment(cfg), "coupling")
+    med = _medians(run_experiment(cfg, workers=2), "coupling")
     assert decreasing(med), ("thm231", med)
     details.append(f"d_231 {med[-1]:.3f}")
 
@@ -249,14 +249,14 @@ def test_a08_invariance_trends():
         theorem_id="random_index", n_grid=TREND_GRID, replicates=TREND_REPLICATES,
         seed=8003, c=1.0, alpha=0.2,
     )
-    med = _medians(run_experiment(cfg), "coupling")
+    med = _medians(run_experiment(cfg, workers=2), "coupling")
     assert decreasing(med), ("random_index", med)
     details.append(f"d_rand {med[-1]:.3f}")
 
     cfg = ExperimentConfig(
         theorem_id="height", n_grid=TREND_GRID, replicates=TREND_REPLICATES, seed=8004
     )
-    med = _medians(run_experiment(cfg), "height_vs_contour")
+    med = _medians(run_experiment(cfg, workers=2), "height_vs_contour")
     assert decreasing(med), ("height", med)
     details.append(f"height {med[-1]:.3f}")
     return ", ".join(details) + " at n = 1e5"

@@ -1,5 +1,6 @@
 """Coupling statistics, moment oracle, and the experiment harness."""
 
+import hashlib
 import json
 import math
 import os
@@ -17,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pav
-from pav import bij231, parallel
+from pav import bij231, experiments, parallel
 from pav.errors import BadConfig, TooLarge
 from pav.experiments import (
     LATTICE_BLOCK,
     REPLICATES,
-    SWEEP_WINDOW,
     ExperimentConfig,
     coupling_231,
     coupling_321,
@@ -125,25 +125,29 @@ class TestCandidateSegments:
             covered = 2 * int(np.diff(f.t_num)[candidate].sum())  # lattice steps
             assert 0 < covered < 0.01 * (2 * n + 1)
 
-    @given(st.integers(1, 3 * SWEEP_WINDOW), st.integers(0, 2**32), st.integers(0, 200),
-           st.integers(1, 3))
+    @given(st.integers(1, 6144), st.integers(0, 2**32), st.integers(0, 200), st.integers(1, 3))
     @settings(max_examples=100, deadline=None)
     def test_sweep_runs_hold_every_candidate_segment(self, n, seed, knots, count):
-        # a few candidates, as at n = 1e5, so most windows hold none; few
-        # knots make segments that run across window edges
+        # a few candidates, as at n = 1e5; few knots make long segments and
+        # neighbouring candidates, which share one run
         rng = substream(seed)
         index_set = rng.integers(0, n + 1, size=knots)
         f = scaled_function(bij231.forward(pav.sample_uniform(n, rng)), index_set)
         candidate = np.zeros(len(f) - 1, dtype=bool)
         candidate[rng.integers(0, candidate.size, size=count)] = True
-        runs = _sweep_runs(f, 2 * n, candidate)
-        swept = np.zeros(2 * n + 1, dtype=bool)
-        for start, stop in runs:
-            assert start % SWEEP_WINDOW == 0 and not swept[start:stop].any()
-            swept[start:stop] = True
         x = 2 * f.t_num
+        inside = np.zeros(2 * n + 1, dtype=bool)  # the closed candidate segments
+        for j in np.flatnonzero(candidate):
+            inside[x[j]:x[j + 1] + 1] = True
+        swept = np.zeros(2 * n + 1, dtype=bool)
+        last = -1
+        for start, stop in _sweep_runs(f, 2 * n, candidate):
+            assert last < start < stop  # disjoint, increasing and not empty
+            swept[start:stop] = True
+            last = stop
         for j in np.flatnonzero(candidate):
             assert swept[x[j] + 1:x[j + 1]].all()
+        assert not (swept & ~inside).any()
 
     def test_segment_whose_bound_ties_best_is_swept(self):
         # tents of height 2 between knots on the floor, sqrt(2n) = 4 exactly:
@@ -625,3 +629,48 @@ def test_registry_bytes_equal_across_workers(theorem):
     cfg = ExperimentConfig(theorem_id=theorem, n_grid=(20,), replicates=2, seed=11)
     one = run_experiment(cfg, workers=1).to_json(include_timing=False)
     assert run_experiment(cfg, workers=2).to_json(include_timing=False) == one
+
+
+# SHA-256 of repr(report.raw) with keep_raw, n_grid (1000, 10000), 8 replicates,
+# seed 17.  The bit-for-bit tests above compare the sweeps with sup_distance,
+# which shares ScaledFunction._interpolate with them, so only a frozen value
+# sees a change to the interpolation itself.
+RAW_SHA256 = {
+    "thm321": "224fc72d5d96306b6050e1c965e27f5832ac6ed6acd757d38c7d694b287007f9",
+    "thm231": "7c469dbd3f1610a0c6554a748afaa7d73c629b55cb75e0d826dc0968e56cb5cc",
+    "random_index": "922ed08523b981d50cb6ced54823dc753c576e4504ac63352865ca55e766f860",
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(RAW_SHA256))
+def test_raw_values_frozen(theorem):
+    cfg = ExperimentConfig(theorem_id=theorem, n_grid=(1000, 10000), replicates=8, seed=17,
+                           keep_raw=True)
+    raw = repr(run_experiment(cfg).raw).encode()
+    assert hashlib.sha256(raw).hexdigest() == RAW_SHA256[theorem]
+
+
+# random_index is left out: it draws its own index set from the stream, so
+# its statistic is not a function of the path alone
+@pytest.mark.parametrize("theorem", ["height", "moments", "petrov", "thm231", "thm321"])
+def test_small_n_means_match_exact_means(monkeypatch, theorem):
+    """The exact mean of each statistic over all C_8 = 1430 paths of
+    semilength 8, against a seeded Monte Carlo run: |z| <= 4 with the exact
+    standard deviation, and equal means for a statistic constant on them."""
+    n, reps = 8, 4000
+    cfg = ExperimentConfig(theorem_id=theorem, n_grid=(n,), replicates=reps, seed=4242)
+    exact = []
+    with monkeypatch.context() as m:  # each replicate draws its path through sample_uniform
+        for path in pav.enumerate_all(n):
+            m.setattr(experiments, "sample_uniform", lambda n, stream: path)
+            exact.append(REPLICATES[theorem](n, None, cfg))
+    assert len(exact) == pav.catalan(n)
+    for row in run_experiment(cfg, workers=2).results:
+        values = np.array([d[row["statistic"]] for d in exact])
+        sd = values.std()
+        if sd == 0:
+            assert row["mean"] == values[0], row
+        else:
+            z = (row["mean"] - values.mean()) / (sd / math.sqrt(reps))
+            print(f"{theorem} {row['statistic']}: z = {z:+.2f} against exact {values.mean():.6f}")
+            assert abs(z) <= 4, (row["statistic"], z)
