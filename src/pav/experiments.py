@@ -5,14 +5,14 @@ Each replicate is a pure function of (master seed, n, replicate index),
 so reports are bitwise reproducible at any worker count.  Sup distances
 between the scaled path and the interpolated exceedance functions are
 exact maxima over the lattice x/(2n), which holds every knot of both.
-The values at the exceedance knots are exact and give a lower bound; a
-segment between knots is swept, in cache-sized blocks, only if a bound
-on its values reaches it, so the result is the whole sweep's bit for
-bit.  Exact targets come from closed forms:
-the moment oracle's E[sum_x gamma(x)] = (4^n - binom(2n+1, n)) / C_n,
-and the subtree theorem's E[hat_xi_k] = k (2n+3-2k) T_k / (2 (n+1) C_n)
-- 1/2 with T_k = C_{k-1} binom(2(n+1-k), n+1-k), its tail sum
-telescoped.  Limit constants enter only through the acceptance tests.
+A segment between exceedance knots is swept, with its end knots and in
+cache-sized blocks, only if a bound on its values reaches the largest
+value at a knot, so the result is the whole sweep's bit for bit.  Exact
+targets come from closed forms: the moment oracle's E[sum_x gamma(x)] =
+(4^n - binom(2n+1, n)) / C_n, and the subtree theorem's E[hat_xi_k] =
+k (2n+3-2k) T_k / (2 (n+1) C_n) - 1/2 with T_k = C_{k-1}
+binom(2(n+1-k), n+1-k), its tail sum telescoped.  Limit constants enter
+only through the acceptance tests.
 """
 
 from __future__ import annotations
@@ -44,65 +44,49 @@ from .trees import catalan, expected_hat_xi, subtree_size_limit
 # pathwise statistics
 
 
-# Lattice points per block of the coupling sweeps and knots per block of the
-# knot pass before them.  At n = 1e5 the blocks hold coupling_321's traced
-# peak at 5.77 MiB, the forward map's, up to 2**15 (2**16: 6.82 MiB,
-# unblocked: 8.40); times from 2**13 up agree within noise, and 2**12 adds
-# per-block overhead.
+# Lattice points per block of the coupling sweeps.  At n = 1e5 the blocks hold
+# coupling_321's traced peak at 5.77 MiB, the forward map's, up to 2**15
+# (2**16: 6.82 MiB, unblocked: 8.40); times from 2**13 up agree within noise,
+# and 2**12 adds per-block overhead.
 LATTICE_BLOCK = 1 << 14
 
 
-def _candidate_segments(path: DyckPath, f: ScaledFunction, op) -> tuple[float, np.ndarray]:
-    """(best, candidate) for the sup over x = 0..2n of |op(G, f)| at
-    x/(2n), op np.add or np.subtract.
+def _sweep_runs(path: DyckPath, f: ScaledFunction, op) -> list:
+    """The lattice runs [start, stop), in order, that hold the maximum over
+    x = 0..2n of |op(G, f)| at x/(2n), op np.add or np.subtract: the maximal
+    runs of consecutive candidate segments of f, each with its end knots.
 
-    best is the maximum over f's knots, where f's value is its stored
-    ordinate, so best is a value of the lattice sweep bit for bit.
-    candidate[j] says whether a lattice point inside the segment between
-    knots j and j + 1 can exceed best; no point of another segment can.
-
+    d holds |op(G, f)| at f's knots, where f's value is its stored ordinate.
     On a segment of L lattice steps f is linear, so op(G, f) is its chord
     plus G's deviation from G's chord, and a +-1 walk deviates from its
     chord by at most L/2 steps: |op(G, f)| <= max(|d0|, |d1|) + L/(2 sqrt(2n))
     in exact arithmetic, d0 and d1 the knot values.  Every value and bound
     compared here is at most T = sqrt(2n) + max|y| (|G| <= n/sqrt(2n) and
     L <= 2n), and its float rounding, the interpolation's included, is
-    under 16 u T, u = 2**-53.  The margin is 2**-44 T, 32 times that, so a
-    segment is left out only if each of its computed values is below best.
-
-    The knot values are taken in blocks of LATTICE_BLOCK knots, so the only
-    arrays of the knots' size are the bounds and the answer.
+    under 16 u T, u = 2**-53.  The margin is 2**-44 T', 32 times that for
+    T' = sqrt(2n) + max(d) + n/sqrt(2n) >= T, as |y| <= d + |G| at a knot.
+    A segment is a candidate if its bound reaches max(d) - margin, so every
+    point outside the runs has a computed value below max(d); the knot
+    attaining max(d) ends a candidate segment, so a run holds it.
     """
     den = 2 * path.n
     scale = np.sqrt(den)
-    m = den // f.t_den
-    margin = 2.0**-44 * (scale + max(f.y.max(), -f.y.min()))
-    step = m / (2 * scale)  # half a segment's lattice steps, scaled, per knot gap
-    bound = np.empty(len(f) - 1)
-    best = -np.inf
-    for lo in range(0, len(f) - 1, LATTICE_BLOCK):
-        t = f.t_num[lo:lo + LATTICE_BLOCK + 1]
-        d = path.heights[t * m] / scale
-        d = np.abs(op(d, f.y[lo:lo + t.size], out=d), out=d)
-        best = max(best, d.max())
-        b = np.multiply(np.diff(t), step, out=bound[lo:lo + t.size - 1])
-        b += np.maximum(d[:-1], d[1:])
-    return float(best), bound >= best - margin
+    x = f.t_num * (den // f.t_den)
+    d = path.heights[x] / scale
+    d = np.abs(op(d, f.y, out=d), out=d)
+    top = d.max()
+    bound = np.diff(x) / (2 * scale)
+    bound += np.maximum(d[:-1], d[1:])
+    candidate = bound >= top - 2.0**-44 * (scale + top + path.n / scale)
+    edge = x[np.flatnonzero(np.diff(candidate, prepend=False, append=False))]
+    return list(zip(edge[::2].tolist(), (edge[1::2] + 1).tolist()))
 
 
-def _sweep_runs(f: ScaledFunction, den: int, candidate: np.ndarray) -> list:
-    """The lattice runs [start, stop), in order: the interiors of the maximal
-    runs of consecutive candidate segments of f on the lattice x/den.  The
-    knots inside a run are swept again; their values are already exact."""
-    edge = np.flatnonzero(np.diff(candidate, prepend=False, append=False))
-    knots = f.t_num[edge] * (den // f.t_den)  # a run's first knot, then the one after its last
-    return list(zip((knots[::2] + 1).tolist(), knots[1::2].tolist()))
-
-
-def _sweep(den: int, runs, f: ScaledFunction, g, op, best: float) -> float:
-    """max(best, |op(g, f)| at x/den over x in the lattice runs [start, stop)),
-    in blocks of at most LATTICE_BLOCK points; g(lo, hi) gives the other
+def _sweep(den: int, runs, f: ScaledFunction, g, op) -> float:
+    """max |op(g, f)| at x/den over x in the lattice runs [start, stop), in
+    blocks of at most LATTICE_BLOCK points; g(lo, hi) gives the other
     function's values on the block [lo, hi), a fresh array op overwrites."""
+    best = 0.0
     for start, stop in runs:
         for lo in range(start, stop, LATTICE_BLOCK):
             hi = min(lo + LATTICE_BLOCK, stop)
@@ -115,12 +99,11 @@ def _sweep(den: int, runs, f: ScaledFunction, g, op, best: float) -> float:
 def _lattice_sup(path: DyckPath, f: ScaledFunction, op) -> float:
     """max over x = 0..2n of |op(G, f)| at x/(2n), G the scaled path
     heights / sqrt(2n): the bits of a sweep over every lattice point, which
-    sweeps only the candidate segments."""
-    best, candidate = _candidate_segments(path, f, op)
+    sweeps only the runs that can hold the maximum."""
     den = 2 * path.n
     scale = np.sqrt(den)
-    return _sweep(den, _sweep_runs(f, den, candidate), f,
-                  lambda lo, hi: path.heights[lo:hi] / scale, op, best)
+    return _sweep(den, _sweep_runs(path, f, op), f,
+                  lambda lo, hi: path.heights[lo:hi] / scale, op)
 
 
 def coupling_321(path: DyckPath) -> tuple[float, float, float]:
@@ -134,9 +117,9 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     sup_distance(F_plus, -F_minus) bit for bit, G = scaled_path(path).
     Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
     maxima over that lattice: G's values are its ordinates, negation is
-    exact, and a - (-b) == a + b in IEEE arithmetic.  The first two take
-    the exact values at F's knots and sweep only the segments whose bound
-    reaches their maximum (_candidate_segments).  F_plus + F_minus has its
+    exact, and a - (-b) == a + b in IEEE arithmetic.  The first two sweep
+    only the runs of segments, with their end knots, whose bound reaches
+    the maximum at F's knots (_sweep_runs).  F_plus + F_minus has its
     knots at the even points x = 2a, the union grid of that pair; it is
     swept at a/n, whose values are those at 2a/(2n) bit for bit, since
     2p/2q == p/q in IEEE arithmetic.
@@ -145,7 +128,7 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     n = path.n
     f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
     return (_lattice_sup(path, f_plus, np.subtract), _lattice_sup(path, f_minus, np.add),
-            _sweep(n, [(0, n + 1)], f_minus, functools.partial(f_plus.eval_lattice, n), np.add, 0.0))
+            _sweep(n, [(0, n + 1)], f_minus, functools.partial(f_plus.eval_lattice, n), np.add))
 
 
 def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
@@ -164,10 +147,9 @@ def coupling_231(path: DyckPath, index_set) -> float:
 
     Equals sup_distance(scaled_path(path), -f) bit for bit: every knot
     lies on the lattice x/(2n), G's values there are its ordinates, and
-    a - (-b) == a + b in IEEE arithmetic.  The sup takes the exact values
-    at f's knots and sweeps only the segments whose bound reaches their
-    maximum (_candidate_segments); the empty set's one segment is the
-    whole lattice.
+    a - (-b) == a + b in IEEE arithmetic.  The sup sweeps only the runs of
+    segments, with their end knots, whose bound reaches the maximum at f's
+    knots (_sweep_runs); the empty set's one segment is the whole lattice.
     """
     return _lattice_sup(path, scaled_function(bij231.forward(path), index_set), np.add)
 

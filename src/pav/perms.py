@@ -234,10 +234,14 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
 
     Anchor knots (0,0) and (1,0) are added when 0 or n is absent, making
     the function total on [0,1] and matching the zero boundary of the
-    limit object; an empty index set gives the zero function.
+    limit object; an empty index set gives the zero function.  Indices
+    that are not integers (floats, booleans, strings) raise ValueError.
     """
     n = perm.n
-    a = sorted_unique(np.asarray(indices, dtype=np.int64).ravel())
+    a = np.asarray(indices)
+    if a.size and a.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, not {a.dtype}")
+    a = sorted_unique(a.astype(np.int64, copy=False).ravel())
     if a.size and (a[0] < 0 or a[-1] > n):
         raise IndexOutOfRange("indices must lie in 0..n")
     a = a[a > 0]  # E(0) = 0 is the anchor knot

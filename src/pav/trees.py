@@ -11,6 +11,7 @@ expectation APIs take the semilength n and document the +1.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,8 +182,17 @@ def stats(tree: OrderedTree) -> SubtreeStats:
     )
 
 
+def _integer(name: str, value) -> int:
+    """value as an int, numpy integers included; 2.5 is rejected, never rounded."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise RangeError(f"{name} must be an integer, not {value!r}") from None
+
+
 def hat_xi(tree: OrderedTree, k: int) -> int:
     """Number of proper fringe subtrees with at least k vertices."""
+    k = _integer("k", k)
     if k < 1:
         raise RangeError("k must be >= 1")
     if tree.size == 1:
@@ -205,6 +215,7 @@ def _subtree_ratio(n: int, k: int) -> Fraction:
     """T_k / C_n, T_k = C_{k-1} binom(2r, r), r = n+1-k: the factorial ratio
     (2k-2)! (2r)! n! (n+1)! / ((k-1)! k! (r!)^2 (2n)!) from each prime's
     exponent by Legendre's formula, so no big binomial is formed."""
+    n, k = _integer("n", n), _integer("k", k)
     if n < 0 or not 1 <= k <= n + 1:
         raise RangeError(f"n={n}, k={k}: need n >= 0 and 1 <= k <= n + 1")
     if n > EXACT_LIMIT:

@@ -32,7 +32,6 @@ from pav.experiments import (
     random_index_set,
     run_experiment,
     se_set,
-    _candidate_segments,
     _sweep_runs,
     _paths_within,
 )
@@ -121,33 +120,28 @@ class TestCandidateSegments:
         f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
         f_231 = scaled_function(bij231.forward(path), se_set(path, 1.0, 0.4))
         for f, op in ((f_plus, np.subtract), (f_minus, np.add), (f_231, np.add)):
-            _, candidate = _candidate_segments(path, f, op)
-            covered = 2 * int(np.diff(f.t_num)[candidate].sum())  # lattice steps
+            covered = sum(stop - start for start, stop in _sweep_runs(path, f, op))
             assert 0 < covered < 0.01 * (2 * n + 1)
 
-    @given(st.integers(1, 6144), st.integers(0, 2**32), st.integers(0, 200), st.integers(1, 3))
-    @settings(max_examples=100, deadline=None)
-    def test_sweep_runs_hold_every_candidate_segment(self, n, seed, knots, count):
-        # a few candidates, as at n = 1e5; few knots make long segments and
-        # neighbouring candidates, which share one run
-        rng = substream(seed)
-        index_set = rng.integers(0, n + 1, size=knots)
-        f = scaled_function(bij231.forward(pav.sample_uniform(n, rng)), index_set)
-        candidate = np.zeros(len(f) - 1, dtype=bool)
-        candidate[rng.integers(0, candidate.size, size=count)] = True
-        x = 2 * f.t_num
-        inside = np.zeros(2 * n + 1, dtype=bool)  # the closed candidate segments
-        for j in np.flatnonzero(candidate):
-            inside[x[j]:x[j + 1] + 1] = True
-        swept = np.zeros(2 * n + 1, dtype=bool)
-        last = -1
-        for start, stop in _sweep_runs(f, 2 * n, candidate):
-            assert last < start < stop  # disjoint, increasing and not empty
-            swept[start:stop] = True
-            last = stop
-        for j in np.flatnonzero(candidate):
-            assert swept[x[j] + 1:x[j + 1]].all()
-        assert not (swept & ~inside).any()
+    @given(path_and_index_set())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_hold_the_lattice_maximum(self, case):
+        path, b = case
+        n = path.n
+        g = path.heights / np.sqrt(2 * n)
+        tau = pav.bij321.forward(path)
+        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+        f_231 = scaled_function(bij231.forward(path), b)
+        for f, op in ((f_231, np.add), (f_plus, np.subtract), (f_minus, np.add)):
+            values = np.abs(op(g, f.eval_lattice(2 * n, 0, 2 * n + 1)))  # every lattice point
+            knots = set((2 * f.t_num).tolist())
+            runs = _sweep_runs(path, f, op)
+            last = 0
+            for start, stop in runs:
+                assert last <= start < stop  # disjoint, increasing and not empty
+                assert start in knots and stop - 1 in knots
+                last = stop
+            assert max(values[start:stop].max() for start, stop in runs) == values.max()
 
     def test_segment_whose_bound_ties_best_is_swept(self):
         # tents of height 2 between knots on the floor, sqrt(2n) = 4 exactly:
@@ -155,8 +149,7 @@ class TestCandidateSegments:
         # 0.5, and rounding could lift their apex above it, so they are swept
         path = pav.from_text("UUDD" * 4)
         f = pav.ScaledFunction([0, 2, 4, 6, 8], 8, [0.0, 0.0, 0.5, 0.0, 0.0])
-        best, candidate = _candidate_segments(path, f, np.add)
-        assert best == 0.5 and candidate.tolist() == [True] * 4
+        assert _sweep_runs(path, f, np.add) == [(0, 17)]
 
     def test_tent_bound_is_tight(self):
         # one tent, knots only at its ends: the apex is n = L/2 steps above
@@ -164,8 +157,7 @@ class TestCandidateSegments:
         n = 50
         path = pav.from_text("U" * n + "D" * n)
         f = scaled_function(bij231.forward(path), [])
-        best, candidate = _candidate_segments(path, f, np.add)
-        assert best == 0.0 and candidate.tolist() == [True]
+        assert _sweep_runs(path, f, np.add) == [(0, 2 * n + 1)]
         assert coupling_231(path, []) == n / math.sqrt(2 * n)
 
 
@@ -256,6 +248,10 @@ class TestCoupling231:
     def test_empty_set_gives_path_sup(self):
         p = pav.from_text("UUDD")
         assert coupling_231(p, np.array([], dtype=np.int64)) == pytest.approx(2 / 2)
+
+    def test_non_integer_index_set_rejected(self):
+        with pytest.raises(ValueError, match="integers"):
+            coupling_231(pav.sample_uniform(4, 0), [1.5, 2.5])
 
     @pytest.mark.parametrize("n,seed", [
         (1, 0), (2, 5), (7, 1), (57, 6), (1000, 2), (5000, 4), *BLOCK_EDGES])

@@ -172,14 +172,29 @@ class TestScaledFunction:
         assert val == 5 / np.sqrt(20)
 
     def test_empty_set(self):
+        # [] is float64 in numpy; an empty set has no value to coerce
         for n in (1, 3):
-            f = scaled_function(random_perm(n, 2), [])
-            assert f.t_num.tolist() == [0, n] and f.t_den == n
-            assert f.y.tolist() == [0.0, 0.0]
+            for empty in ([], (), np.array([], dtype=bool)):
+                f = scaled_function(random_perm(n, 2), empty)
+                assert f.t_num.tolist() == [0, n] and f.t_den == n
+                assert f.y.tolist() == [0.0, 0.0]
 
     def test_bad_index(self):
         with pytest.raises(IndexOutOfRange):
             scaled_function(Permutation([1, 2]), [3])
+
+    @pytest.mark.parametrize("indices", [[1.7, 3.2], [True, True], ["2"], [2.0]])
+    def test_non_integer_indices_rejected(self, indices):
+        # once truncated to knots [0, 1, 3, n], read as [0, 1, n] or parsed as [0, 2, n]
+        with pytest.raises(ValueError, match="integers"):
+            scaled_function(random_perm(5, 1), indices)
+
+    def test_numpy_integer_dtypes_accepted(self):
+        perm = random_perm(6, 4)
+        want = scaled_function(perm, [2, 5])
+        for dtype in (np.uint8, np.int32, np.uint64):
+            f = scaled_function(perm, np.array([5, 2], dtype=dtype))
+            assert f.t_num.tolist() == want.t_num.tolist() and f.y.tolist() == want.y.tolist()
 
     def test_eval_at_knot_exact(self):
         perm = random_perm(37, 5)

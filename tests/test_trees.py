@@ -185,6 +185,10 @@ class TestStats:
         assert trees.hat_xi(t, 4) == 0  # k = |t| counts nothing proper
         with pytest.raises(RangeError):
             trees.hat_xi(t, 0)
+        assert trees.hat_xi(t, np.int64(2)) == trees.hat_xi(t, np.uint8(2)) == 1
+        for k in (2.5, 2.0, "2", None):  # 2.5 once counted the subtrees >= 2.5
+            with pytest.raises(RangeError, match=f"k must be an integer, not {k!r}"):
+                trees.hat_xi(t, k)
 
 
 class TestCatalan:
@@ -311,6 +315,14 @@ def expected_hat_xi_shorter(n, k):
 
 
 class TestExactFormulaGuards:
+    @pytest.mark.parametrize("fn", [trees.expected_xi, trees.expected_hat_xi])
+    def test_integer_parameters(self, fn):
+        assert fn(np.int64(10), np.int32(3)) == fn(10, 3)
+        with pytest.raises(RangeError, match="k must be an integer, not 2.5"):
+            fn(10, 2.5)  # expected_xi once raised numpy's UFuncTypeError
+        with pytest.raises(RangeError, match="n must be an integer, not 10.0"):
+            fn(10.0, 3)
+
     @pytest.mark.parametrize("fn", [trees.expected_xi, trees.expected_hat_xi])
     def test_negative_n_named(self, fn):
         with pytest.raises(RangeError, match="n=-3"):
