@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dyck import DyckPath, excursions, from_runs
-from .errors import IndexOutOfRange, InvalidPath, Not231Avoiding
+from .errors import IndexOutOfRange, InvalidPath, Not231Avoiding, integer
 from .perms import Permutation
 from .trees import OrderedTree, to_contour
 
@@ -56,7 +56,6 @@ def inverse(perm: Permutation) -> DyckPath:
 
 def tree_formula(tree: OrderedTree, i: int) -> int:
     """sigma(i) = i + |fringe subtree of v_i| - depth(v_i), 1 <= i < N."""
-    if not 1 <= i <= tree.size - 1:
-        raise IndexOutOfRange(f"i={i} outside 1..{tree.size - 1}")
+    i = integer(i, "i", IndexOutOfRange, 1, tree.size - 1)
     et = excursions(to_contour(tree))  # cached on the contour: O(1) after the first call
     return i + int(et.l[i - 1] >> 1) - int(et.h[i - 1])

@@ -21,6 +21,8 @@ from .errors import (
     NotReconstructible,
     OddLength,
     TooLarge,
+    integer,
+    integers,
 )
 from .rng import as_generator
 from .scaled import ScaledFunction
@@ -39,14 +41,10 @@ class DyckPath:
     __slots__ = ("_steps", "_heights", "_runs", "_excursions")
 
     def __init__(self, steps):
-        if isinstance(steps, str):
-            arr = _steps_from_text(steps)
-        else:
-            arr = np.asarray(steps._steps if isinstance(steps, DyckPath) else steps)
-            if arr.dtype.kind not in "iu":
-                raise BadStep(f"steps must be integers, not {arr.dtype}")
-        if arr.ndim != 1:
-            raise BadStep("steps must be a 1-d sequence")
+        if isinstance(steps, DyckPath):
+            steps = steps._steps
+        arr = (_steps_from_text(steps) if isinstance(steps, str)
+               else integers(steps, "steps", BadStep))
         if arr.size % 2 != 0:
             raise OddLength(f"length {arr.size} is odd")
         if not (np.abs(arr) == 1).all():
@@ -129,8 +127,7 @@ def enumerate_all(n: int):
     first and (UD)^n last.  Guarded at n <= 16: the count is the n-th
     Catalan number, ~35M at the limit.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n = integer(n, "n", lo=0)
     if n > ENUMERATE_LIMIT:
         raise TooLarge(f"n={n} exceeds enumeration guard {ENUMERATE_LIMIT}")
 
@@ -162,8 +159,7 @@ def sample_uniform(n: int, seed) -> DyckPath:
     ``seed`` may be a 64-bit int (an independent substream is derived
     from it) or a numpy Generator to draw from an existing stream.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", lo=1)
     rng = as_generator(seed)
     walk = np.empty(2 * n + 2, dtype=np.int64)  # walk[0] = 0 is the empty prefix
     walk[0] = 0
@@ -233,11 +229,12 @@ class RunDecomposition:
 
 def from_runs(up, down) -> DyckPath:
     """The path U^up[0] D^down[0] ... U^up[m-1] D^down[m-1] (a zero
-    length merges the runs beside it).  Raises BadStep on unequal run
-    counts or a negative run length; the DyckPath constructor checks the
-    rest."""
-    m = len(up)
-    if len(down) != m:
+    length merges the runs beside it).  Raises BadStep on non-integer or
+    negative run lengths or unequal run counts; the DyckPath constructor
+    checks the rest."""
+    up, down = integers(up, "up", BadStep), integers(down, "down", BadStep)
+    m = up.size
+    if down.size != m:
         raise BadStep("up and down run counts differ")
     lengths = np.empty(2 * m, dtype=np.int64)
     lengths[0::2] = up
@@ -254,7 +251,7 @@ def runs(path: DyckPath) -> RunDecomposition:
     steps = path.steps
     if steps.size == 0:
         raise EmptySet("runs are undefined for the empty path")
-    change = np.nonzero(np.diff(steps))[0]
+    change = np.flatnonzero(steps[1:] != steps[:-1])
     bounds = np.concatenate(([0], change + 1, [steps.size]))
     lengths = np.diff(bounds)
     # A valid path starts with an up-run and ends with a down-run, so the

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one rule for
+integer and real input: a bool, float or string is refused, never cast."""
+
+import numbers
+import operator
+import sys
+
+import numpy as np
 
 
 class PavError(Exception):
@@ -59,3 +66,39 @@ class DomainError(PavError, ValueError):
 
 class BadConfig(PavError, ValueError):
     """An experiment configuration is malformed."""
+
+
+def integer(value, name: str, error=ValueError, lo=None, hi=None) -> int:
+    """value as an int, numpy integers included, in lo..hi when given.
+    A bool, a float such as 2.0 and a string raise error naming name."""
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be an integer, not {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, not {value!r}") from None
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in {lo}..{hi}"
+        raise error(f"{name} must be {bound}, not {value}")
+    return value
+
+
+def integers(values, name: str, error=ValueError) -> np.ndarray:
+    """values as a 1-d array of integer dtype, not copied when it is one;
+    an empty sequence of any dtype is the empty int64 array."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise error(f"{name} must be a 1-d sequence, not {arr.ndim}-d")
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise error(f"{name} must be integers, not {arr.dtype}")
+    return arr if arr.size else arr.astype(np.int64)
+
+
+def real(value, name: str, error=ValueError) -> float:
+    """value as a finite float, ints and numpy reals included; a bool, a
+    string, an infinity and a NaN raise error naming name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a real number, not {value!r}")
+    if not abs(value) <= sys.float_info.max:  # also NaN and ints beyond float range
+        raise error(f"{name} must be finite, not {value!r}")
+    return float(value)

@@ -21,7 +21,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -31,7 +30,7 @@ import numpy as np
 from . import bij231, bij321
 from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform
-from .errors import BadConfig, NotReconstructible, TooLarge
+from .errors import BadConfig, NotReconstructible, TooLarge, integer, real
 from .parallel import effective_workers, replicate_map
 from .perms import exceedance_sets, max_deficit, scaled_function
 from .petrov import check_petrov
@@ -156,8 +155,8 @@ def coupling_231(path: DyckPath, index_set) -> float:
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:
     """count i.i.d. uniform draws from {1..n}, deduplicated and sorted."""
-    rng = as_generator(seed)
-    return sorted_unique(rng.integers(1, n + 1, size=count))
+    n, count = integer(n, "n", lo=1), integer(count, "count", lo=0)
+    return sorted_unique(as_generator(seed).integers(1, n + 1, size=count))
 
 
 def height_vs_contour(path: DyckPath) -> float:
@@ -202,8 +201,7 @@ def exact_moment_oracle(n: int) -> tuple[Fraction, Fraction]:
     staying within [0, h], via double reflection, which must reach C_n
     at h = n.  Guarded at n <= 256.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = integer(n, "n", lo=1)
     if n > ORACLE_LIMIT:
         raise TooLarge(f"n={n} exceeds oracle guard {ORACLE_LIMIT}")
     c_n = catalan(n)
@@ -296,18 +294,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.theorem_id not in THEOREMS:
             raise BadConfig(f"unknown theorem_id {self.theorem_id!r}")
-        grid = tuple(_integer("n_grid", v) for v in self.n_grid)
-        if not grid or any(v < 1 for v in grid):
-            raise BadConfig("n_grid must be nonempty positive integers")
+        grid = tuple(integer(v, "n_grid", BadConfig, lo=1) for v in self.n_grid)
+        if not grid:
+            raise BadConfig("n_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise BadConfig("n_grid must be strictly increasing")
-        replicates = _integer("replicates", self.replicates)
-        if self.theorem_id != "subtree" and replicates < 1:
-            raise BadConfig("replicates must be >= 1")
-        reals = {name: float(getattr(self, name)) for name in ("c", "alpha", "epsilon")}
-        for name, value in reals.items():
-            if not math.isfinite(value):
-                raise BadConfig(f"{name} must be finite, not {value!r}")
+        replicates = integer(self.replicates, "replicates", BadConfig,
+                             lo=None if self.theorem_id == "subtree" else 1)
+        seed = integer(self.seed, "seed", BadConfig)
+        reals = {name: real(getattr(self, name), name, BadConfig)
+                 for name in ("c", "alpha", "epsilon")}
+        if not isinstance(self.keep_raw, bool):
+            raise BadConfig(f"keep_raw must be a bool, not {self.keep_raw!r}")
         n, alpha = grid[-1], reals["alpha"]  # an overflow anywhere in the grid shows at its top
         for name, formula, power in (
             ("alpha", "n**alpha", lambda: n**alpha),
@@ -324,19 +322,8 @@ class ExperimentConfig:
             for size in grid:
                 if (k := int(reals["c"] * size**alpha)) < 1:
                     raise BadConfig(f"threshold floor(c*n^alpha) = {k} < 1 at n={size}")
-        for name, value in dict(
-            n_grid=grid, replicates=replicates, seed=_integer("seed", self.seed),
-            keep_raw=bool(self.keep_raw), **reals,
-        ).items():
+        for name, value in dict(n_grid=grid, replicates=replicates, seed=seed, **reals).items():
             object.__setattr__(self, name, value)  # the dataclass is frozen
-
-
-def _integer(name: str, value) -> int:
-    """value as an int; a float such as 2.7 is rejected, never truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise BadConfig(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass

@@ -21,25 +21,18 @@ from __future__ import annotations
 import ctypes
 import functools
 import multiprocessing
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 
-from .errors import BadConfig
+from .errors import BadConfig, integer
 
 
 def effective_workers(workers: int | None) -> int:
     """Resolve the worker count: explicit value, else PAV_THREADS, else 1."""
     if workers is None:
         env = os.environ.get("PAV_THREADS", "").strip()
-        workers = int(env) if env.removeprefix("-").isdecimal() else env or 1
-    try:
-        workers = operator.index(workers)
-    except TypeError:
-        raise BadConfig(f"--threads/PAV_THREADS must be an integer, not {workers!r}") from None
-    if workers < 1:
-        raise BadConfig(f"--threads/PAV_THREADS must be >= 1, not {workers}")
-    return workers
+        workers = int(env) if env.isascii() and env.removeprefix("-").isdecimal() else env or 1
+    return integer(workers, "--threads/PAV_THREADS", BadConfig, lo=1)
 
 
 # mallopt parameters, and the ceiling of glibc's dynamic mmap threshold on

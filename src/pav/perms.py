@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, integer, integers
 from .scaled import ScaledFunction, sorted_unique
 
 
@@ -65,11 +65,11 @@ def ints_to_text(values) -> str:
     keeps the space and the digits from the leading one on, and the kept
     bytes are decoded once.
     """
-    x = np.asarray(values)
+    x = integers(values, "values")
     if x.size == 0:
         return ""
-    if x.ndim != 1 or x.dtype.kind not in "iu" or x.min() < 0:
-        raise ValueError("expected a 1-d sequence of nonnegative integers")
+    if x.min() < 0:
+        raise ValueError(f"values must be nonnegative, not {x.min()}")
     width = len(str(int(x.max())))
     cols = np.empty((x.size, width + 1), dtype=np.uint8)
     keep = np.empty((x.size, width + 1), dtype=bool)
@@ -96,13 +96,9 @@ class Permutation:
         elif isinstance(images, str):
             arr = ints_from_text(images)
         else:
-            arr = np.asarray(images)
-            if arr.dtype.kind not in "iu":
-                raise ValueError(f"images must be integers, not {arr.dtype}")
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("need a nonempty 1-d image sequence")
-        if arr.min() < 1 or arr.max() > arr.size:
-            raise ValueError("images must be a bijection on 1..n")
+            arr = integers(images, "images")
+        if arr.size == 0 or arr.min() < 1 or arr.max() > arr.size:
+            raise ValueError("images must be a bijection on 1..n, n >= 1")
         arr = np.array(arr, dtype=np.int64)
         seen = np.zeros(arr.size + 1, dtype=bool)
         seen[arr] = True
@@ -113,7 +109,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(np.arange(1, n + 1))
+        return cls(np.arange(1, integer(n, "n") + 1))
 
     @property
     def images(self) -> np.ndarray:
@@ -125,8 +121,7 @@ class Permutation:
 
     def __call__(self, i: int) -> int:
         """pi(i) for 1 <= i <= n."""
-        if not 1 <= i <= self.n:
-            raise IndexOutOfRange(f"position {i} not in 1..{self.n}")
+        i = integer(i, "i", IndexOutOfRange, 1, self.n)
         return int(self._images[i - 1])
 
     def to_text(self) -> str:
@@ -204,11 +199,8 @@ def avoids_231(perm: Permutation) -> bool:
 
 def exceedance(perm: Permutation, i: int) -> int:
     """E(i) = pi(i) - i for 1 <= i <= n, and E(0) = 0."""
-    if i == 0:
-        return 0
-    if not 1 <= i <= perm.n:
-        raise IndexOutOfRange(f"index {i} not in 0..{perm.n}")
-    return int(perm.images[i - 1]) - i
+    i = integer(i, "i", IndexOutOfRange, 0, perm.n)
+    return int(perm.images[i - 1]) - i if i else 0
 
 
 def exceedance_process(perm: Permutation) -> np.ndarray:
@@ -235,13 +227,10 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
     Anchor knots (0,0) and (1,0) are added when 0 or n is absent, making
     the function total on [0,1] and matching the zero boundary of the
     limit object; an empty index set gives the zero function.  Indices
-    that are not integers (floats, booleans, strings) raise ValueError.
+    that are not a 1-d integer sequence raise ValueError.
     """
     n = perm.n
-    a = np.asarray(indices)
-    if a.size and a.dtype.kind not in "iu":
-        raise ValueError(f"indices must be integers, not {a.dtype}")
-    a = sorted_unique(a.astype(np.int64, copy=False).ravel())
+    a = sorted_unique(integers(indices, "indices").astype(np.int64, copy=False))
     if a.size and (a[0] < 0 or a[-1] > n):
         raise IndexOutOfRange("indices must lie in 0..n")
     a = a[a > 0]  # E(0) = 0 is the anchor knot

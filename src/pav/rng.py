@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import integer
+
 _U64 = (1 << 64) - 1
 
 
@@ -21,7 +23,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     additional SeedSequence entropy words, so distinct keys give
     statistically independent streams.
     """
-    entropy = (int(seed) & _U64,) + tuple(int(k) & _U64 for k in key)
+    entropy = (integer(seed, "seed") & _U64,) + tuple(integer(k, "key") & _U64 for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

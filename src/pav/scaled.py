@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 
+from .errors import integer, integers
+
 
 class ScaledFunction:
     """Linear interpolation through knots (t_num[i]/t_den, y[i]).
@@ -29,15 +31,14 @@ class ScaledFunction:
     __slots__ = ("t_num", "t_den", "y")
 
     def __init__(self, t_num, t_den: int, y):
-        knots = np.asarray(t_num)
-        if knots.dtype.kind not in "iu" or not isinstance(t_den, (int, np.integer)):
-            raise ValueError("knot numerators and denominator must be integers")
-        if t_den <= 0:
-            raise ValueError("denominator must be positive")
-        t_num = np.array(knots, dtype=np.int64)
+        t_num = np.array(integers(t_num, "t_num"), dtype=np.int64)
+        t_den = integer(t_den, "t_den", lo=1)
+        y = np.asarray(y)
+        if not (y.dtype.kind in "fiu" and np.isfinite(y).all()):
+            raise ValueError("y must be finite reals")
         y = np.array(y, dtype=np.float64)
-        if t_num.ndim != 1 or t_num.shape != y.shape:
-            raise ValueError("knot arrays must be 1-d and of equal length")
+        if t_num.shape != y.shape:
+            raise ValueError("knot arrays must be of equal length")
         if t_num.size < 2:
             raise ValueError("need at least the two endpoint knots")
         if t_num[0] != 0 or t_num[-1] != t_den:
@@ -47,7 +48,7 @@ class ScaledFunction:
         t_num.setflags(write=False)
         y.setflags(write=False)
         self.t_num = t_num
-        self.t_den = int(t_den)
+        self.t_den = t_den
         self.y = y
 
     def __len__(self) -> int:

@@ -11,14 +11,13 @@ expectation APIs take the semilength n and document the +1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .dyck import DyckPath, excursions, from_runs
-from .errors import DomainError, RangeError, TooLarge
+from .errors import DomainError, RangeError, TooLarge, integer, integers, real
 from .perms import ints_from_text, ints_to_text
 
 
@@ -90,12 +89,8 @@ class OrderedTree:
 def _contour(parent) -> DyckPath:
     """The contour of a parent array, accepted only if it gives the same
     parents back.  The caller's array is neither stored nor frozen."""
-    parent = np.asarray(parent)
-    if parent.dtype.kind not in "iu":
-        raise ValueError(f"parents must be integers, not {parent.dtype}")
-    if parent.ndim != 1 or parent.size == 0:
-        raise ValueError("parent array must be nonempty and 1-d")
-    if parent[0] != -1:
+    parent = integers(parent, "parents")
+    if parent.size == 0 or parent[0] != -1:
         raise ValueError("root (label 0) must have parent -1")
     if np.any(parent[1:] < 0) or np.any(parent[1:] > np.arange(parent.size - 1)):
         raise ValueError("parents must carry smaller labels (preorder)")
@@ -182,19 +177,9 @@ def stats(tree: OrderedTree) -> SubtreeStats:
     )
 
 
-def _integer(name: str, value) -> int:
-    """value as an int, numpy integers included; 2.5 is rejected, never rounded."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise RangeError(f"{name} must be an integer, not {value!r}") from None
-
-
 def hat_xi(tree: OrderedTree, k: int) -> int:
     """Number of proper fringe subtrees with at least k vertices."""
-    k = _integer("k", k)
-    if k < 1:
-        raise RangeError("k must be >= 1")
+    k = integer(k, "k", RangeError, lo=1)
     if tree.size == 1:
         return 0
     sizes = excursions(tree._path).fringe_sizes()
@@ -203,8 +188,7 @@ def hat_xi(tree: OrderedTree, k: int) -> int:
 
 def catalan(n: int) -> int:
     """Exact n-th Catalan number C_n = binom(2n, n)/(n+1)."""
-    if n < 0:
-        raise RangeError("n must be >= 0")
+    n = integer(n, "n", RangeError, lo=0)
     return math.comb(2 * n, n) // (n + 1)
 
 
@@ -215,7 +199,7 @@ def _subtree_ratio(n: int, k: int) -> Fraction:
     """T_k / C_n, T_k = C_{k-1} binom(2r, r), r = n+1-k: the factorial ratio
     (2k-2)! (2r)! n! (n+1)! / ((k-1)! k! (r!)^2 (2n)!) from each prime's
     exponent by Legendre's formula, so no big binomial is formed."""
-    n, k = _integer("n", n), _integer("k", k)
+    n, k = integer(n, "n", RangeError), integer(k, "k", RangeError)
     if n < 0 or not 1 <= k <= n + 1:
         raise RangeError(f"n={n}, k={k}: need n >= 0 and 1 <= k <= n + 1")
     if n > EXACT_LIMIT:
@@ -261,6 +245,7 @@ def expected_hat_xi(n: int, k: int) -> Fraction:
 def expected_hat_xi_float(n: int, k: int) -> float:
     """Floating evaluation of E[hat_xi_k] via log-gamma, for n beyond
     exact-arithmetic comfort (n > 1e6).  Relative error < 1e-10."""
+    n, k = integer(n, "n", RangeError), integer(k, "k", RangeError)
     if not 1 <= k <= n + 1:
         raise RangeError(f"k={k} outside 1..{n + 1}")
     log_2cn = math.log(2) + _log_catalan(n)
@@ -292,8 +277,9 @@ def subtree_size_limit(c: float, alpha: float) -> float:
     1/sqrt(pi c); for alpha = 1 (normalization sqrt(n)) and 0 < c <= 1 it
     is sqrt((1-c)/(pi c)), which vanishes at c = 1.
     """
-    if not 0 < c < math.inf:  # also rejects NaN
-        raise DomainError("c must be positive and finite")
+    c, alpha = real(c, "c", DomainError), real(alpha, "alpha", DomainError)
+    if c <= 0:
+        raise DomainError("c must be positive")
     if not 0 < alpha <= 1:
         raise DomainError("alpha must lie in (0, 1]")
     if alpha < 1:

@@ -1,5 +1,6 @@
 """The public namespace: every name in pav.__all__ resolves, once, and
-every pav name the benchmark scripts use still exists."""
+every pav name the benchmark scripts use still exists.  The integer rule
+lives in one module."""
 
 import ast
 import importlib
@@ -8,6 +9,7 @@ from pathlib import Path
 import pav
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
+SRC = Path(pav.__file__).resolve().parent
 
 
 def test_all_names_resolve_once():
@@ -71,3 +73,35 @@ def test_benchmark_names_resolve():
             "pav.experiments.run_experiment"} <= dotted
     missing = sorted(item for item in names if not resolves(item[1]))
     assert missing == []
+
+
+def integer_rule_sites() -> set:
+    """(file, line) of each use of operator.index, and of each comparison
+    of a .kind attribute (a dtype's kind) with a string of the integer
+    kinds "i" and "u", in the pav sources.  The files are parsed, never
+    imported."""
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "operator":
+                hit = any(alias.name == "index" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                hit = (node.attr == "index" and isinstance(node.value, ast.Name)
+                       and node.value.id == "operator")
+            elif isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                hit = (any(isinstance(s, ast.Attribute) and s.attr == "kind" for s in sides)
+                       and any(isinstance(s, ast.Constant) and s.value in ("iu", "ui")
+                               for s in sides))
+            else:
+                continue
+            if hit:
+                found.add((path.name, node.lineno))
+    return found
+
+
+def test_integer_rule_lives_in_errors():
+    sites = integer_rule_sites()
+    # the walk sees both halves of the rule in errors.py, and nothing else
+    assert len(sites) >= 2
+    assert sorted(site for site in sites if site[0] != "errors.py") == []

@@ -572,7 +572,7 @@ class TestPool:
         with pytest.raises(BadConfig):
             run_experiment(cfg, workers=workers)
 
-    @pytest.mark.parametrize("env", ["0", "-1", "abc", "2.5"])
+    @pytest.mark.parametrize("env", ["0", "-1", "abc", "2.5", "\u0663"])  # Arabic-Indic 3
     def test_rejects_env_worker_count(self, monkeypatch, env):
         monkeypatch.setenv("PAV_THREADS", env)
         with pytest.raises(BadConfig, match="PAV_THREADS"):

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pav
 from pav import dyck, experiments
-from pav.errors import NotReconstructible
+from pav.errors import BadStep, NotReconstructible
 from pav.perms import ints_from_text, scaled_function
 
 if sys.flags.optimize < 1:
@@ -52,11 +52,12 @@ expect_raise("moment identity", lambda: experiments.moment_replicate(50, 1))
 
 experiments.catalan = lambda n: 0
 expect_raise("oracle path count", lambda: experiments.exact_moment_oracle(3))
-# The integer-line parser's checks and scaled_function's index check are
-# plain raises too.
+# The integer-line parser's checks and the integer rule (scaled_function's
+# index set, from_runs' run lengths) are plain raises too.
 expect_raise("int64 overflow", lambda: ints_from_text("9223372036854775808"), OverflowError)
 expect_raise("non-ASCII digit", lambda: ints_from_text("1 \uff12"), ValueError)
 expect_raise("float index set", lambda: scaled_function(pav.Permutation([1, 2]), [1.5]), ValueError)
+expect_raise("float run lengths", lambda: dyck.from_runs([2.7], [2.2]), BadStep)
 print("ok")
 """
 
