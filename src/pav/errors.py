@@ -84,14 +84,23 @@ def integer(value, name: str, error=ValueError, lo=None, hi=None) -> int:
 
 
 def integers(values, name: str, error=ValueError) -> np.ndarray:
-    """values as a 1-d array of integer dtype, not copied when it is one;
-    an empty sequence of any dtype is the empty int64 array."""
+    """values as a 1-d array of integer dtype, not copied when it is one; an
+    empty sequence of any dtype is empty int64, and a bool entry is refused."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise error(f"{name} must be a 1-d sequence, not {arr.ndim}-d")
     if arr.dtype.kind not in "iu" and arr.size:
         raise error(f"{name} must be integers, not {arr.dtype}")
+    if holds_bool(values):
+        raise error(f"{name} must be integers, not bools")
     return arr if arr.size else arr.astype(np.int64)
+
+
+def holds_bool(values) -> bool:
+    """Whether a 1-d sequence, not an ndarray (its dtype shows it), holds a
+    bool, numpy's or a 0-d array's too, which numpy promotes among numbers."""
+    return not isinstance(values, np.ndarray) and any(
+        isinstance(v, bool) or getattr(v, "dtype", None) == bool for v in values)
 
 
 def real(value, name: str, error=ValueError) -> float:

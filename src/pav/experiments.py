@@ -30,7 +30,7 @@ import numpy as np
 from . import bij231, bij321
 from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform
-from .errors import BadConfig, NotReconstructible, TooLarge, integer, real
+from .errors import BadConfig, NotReconstructible, TooLarge, integer, integers, real
 from .parallel import effective_workers, replicate_map
 from .perms import exceedance_sets, max_deficit, scaled_function
 from .petrov import check_petrov
@@ -134,7 +134,7 @@ def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
     """Indices i in 1..n whose fringe subtree has at most c*n^alpha
     vertices (the "short excursion" set)."""
     sizes = excursions(path).fringe_sizes()
-    bound = c * path.n**alpha
+    bound = real(c, "c") * path.n**real(alpha, "alpha")
     return np.nonzero(sizes <= bound)[0] + 1
 
 
@@ -172,18 +172,17 @@ def height_vs_contour(path: DyckPath) -> float:
 # moment estimates and their exact oracle
 
 
-def moment_replicate(n: int, seed) -> tuple[float, float]:
-    """(inversions/n^1.5, max height/sqrt(2n)) for one uniform path.
+def moment_replicate(path: DyckPath) -> tuple[float, float]:
+    """(inversions/n^1.5, max height/sqrt(2n)) for one path.
 
     The 231-image sigma has inv(sigma) = (sum_x gamma(x) - n) / 2, its
     path's area, so the count is O(n).  The pathwise identity
-    max = 1 + max-deficit is checked on every draw; a violation would
+    max = 1 + max-deficit is checked on every path; a violation would
     mean corrupted bijection state.
     """
-    path = sample_uniform(n, seed)
-    sigma = bij231.forward(path)
+    n = path.n
     m_path = max_height(path)
-    if m_path != 1 + max_deficit(sigma):
+    if m_path != 1 + max_deficit(bij231.forward(path)):
         raise NotReconstructible("max height != 1 + max deficit on a sampled path")
     inversions = (int(path.heights.sum()) - n) // 2
     return inversions / n**1.5, m_path / math.sqrt(2 * n)
@@ -239,9 +238,8 @@ def _paths_within(n: int, h: int) -> int:
 # experiment harness
 
 
-def _thm231(n: int, stream, cfg) -> dict[str, float]:
-    path = sample_uniform(n, stream)
-    b = se_set(path, cfg.c, cfg.alpha)
+def _thm231(path: DyckPath, stream, cfg) -> dict[str, float]:
+    n, b = path.n, se_set(path, cfg.c, cfg.alpha)
     return {
         "coupling": coupling_231(path, b),
         "excluded_count": float(n - b.size),
@@ -249,29 +247,28 @@ def _thm231(n: int, stream, cfg) -> dict[str, float]:
     }
 
 
-def _random_index(n: int, stream, cfg) -> dict[str, float]:
-    path = sample_uniform(n, stream)
-    b = random_index_set(n, int(cfg.c * n**cfg.alpha), stream)
+def _random_index(path: DyckPath, stream, cfg) -> dict[str, float]:
+    b = random_index_set(path.n, int(cfg.c * path.n**cfg.alpha), stream)  # drawn after the path
     return {"coupling": coupling_231(path, b), "index_count": float(b.size)}
 
 
-def _petrov(n: int, stream, cfg) -> dict[str, float]:
-    report = check_petrov(sample_uniform(n, stream))  # means of pass indicators: frequencies
+def _petrov(path: DyckPath, stream, cfg) -> dict[str, float]:
+    report = check_petrov(path)  # means of pass indicators: frequencies
     out = {f"cond_{k}": float(getattr(report, f"cond_{k}")) for k in "abcd"}
     out["all_hold"] = float(report.all_hold)
     return out
 
 
-# theorem id -> (n, substream, config) -> statistics; workers look it up by id
+# theorem id -> (path, substream, config) -> statistics, the path drawn first
+# from the substream (_replicate); workers look it up by id
 REPLICATES = {
-    "thm321": lambda n, stream, cfg: dict(zip(
-        ("d_plus", "d_minus", "d_mirror"), coupling_321(sample_uniform(n, stream)))),
+    "thm321": lambda path, stream, cfg: dict(zip(
+        ("d_plus", "d_minus", "d_mirror"), coupling_321(path))),
     "thm231": _thm231,
     "random_index": _random_index,
-    "height": lambda n, stream, cfg: {
-        "height_vs_contour": height_vs_contour(sample_uniform(n, stream))},
-    "moments": lambda n, stream, cfg: dict(zip(
-        ("inversions_scaled", "max_scaled"), moment_replicate(n, stream))),
+    "height": lambda path, stream, cfg: {"height_vs_contour": height_vs_contour(path)},
+    "moments": lambda path, stream, cfg: dict(zip(
+        ("inversions_scaled", "max_scaled"), moment_replicate(path))),
     "petrov": _petrov,
 }
 THEOREMS = (*REPLICATES, "subtree")  # subtree is exact: no replicates
@@ -294,7 +291,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.theorem_id not in THEOREMS:
             raise BadConfig(f"unknown theorem_id {self.theorem_id!r}")
-        grid = tuple(integer(v, "n_grid", BadConfig, lo=1) for v in self.n_grid)
+        grid = tuple(integer(v, "n_grid", BadConfig, lo=1)
+                     for v in integers(self.n_grid, "n_grid", BadConfig))
         if not grid:
             raise BadConfig("n_grid must be nonempty")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -371,7 +369,8 @@ class ExperimentReport:
 
 def _replicate(config: ExperimentConfig, item) -> dict[str, float]:
     n, r = item
-    return REPLICATES[config.theorem_id](n, substream(config.seed, n, r), config)
+    stream = substream(config.seed, n, r)
+    return REPLICATES[config.theorem_id](sample_uniform(n, stream), stream, config)
 
 
 def _subtree_rows(config: ExperimentConfig) -> list:

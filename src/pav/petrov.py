@@ -338,8 +338,8 @@ def petrov_frequency(n: int, replicates: int, seed: int, workers: int = 1) -> di
     config = ExperimentConfig(theorem_id="petrov", n_grid=(n,), replicates=replicates, seed=seed)
     mean = {row["statistic"]: row["mean"] for row in run_experiment(config, workers).results}
     return {
-        "n": n,
-        "replicates": replicates,
+        "n": config.n_grid[0],
+        "replicates": config.replicates,
         "frequency_all": mean["all_hold"],
         "failure_rate": {k: 1.0 - mean[f"cond_{k}"] for k in "abcd"},
     }

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .errors import integer, integers
+from .errors import holds_bool, integer, integers
 
 
 class ScaledFunction:
@@ -33,12 +33,12 @@ class ScaledFunction:
     def __init__(self, t_num, t_den: int, y):
         t_num = np.array(integers(t_num, "t_num"), dtype=np.int64)
         t_den = integer(t_den, "t_den", lo=1)
-        y = np.asarray(y)
-        if not (y.dtype.kind in "fiu" and np.isfinite(y).all()):
-            raise ValueError("y must be finite reals")
-        y = np.array(y, dtype=np.float64)
-        if t_num.shape != y.shape:
+        arr = np.asarray(y)
+        if t_num.shape != arr.shape:
             raise ValueError("knot arrays must be of equal length")
+        if holds_bool(y) or not (arr.dtype.kind in "fiu" and np.isfinite(arr).all()):
+            raise ValueError("y must be finite reals")
+        y = np.array(arr, dtype=np.float64)
         if t_num.size < 2:
             raise ValueError("need at least the two endpoint knots")
         if t_num[0] != 0 or t_num[-1] != t_den:

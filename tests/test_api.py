@@ -1,6 +1,7 @@
 """The public namespace: every name in pav.__all__ resolves, once, and
 every pav name the benchmark scripts use still exists.  The integer rule
-lives in one module."""
+lives in one module, and the experiment harness draws each replicate's
+path in one function."""
 
 import ast
 import importlib
@@ -105,3 +106,23 @@ def test_integer_rule_lives_in_errors():
     # the walk sees both halves of the rule in errors.py, and nothing else
     assert len(sites) >= 2
     assert sorted(site for site in sites if site[0] != "errors.py") == []
+
+
+def sample_calls(path: Path) -> list:
+    """(enclosing top-level function or None, line) of each call to
+    sample_uniform, by bare name or as an attribute, in one source file.
+    The file is parsed, never imported."""
+    found = []
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "sample_uniform" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append((owner, node.lineno))
+    return found
+
+
+def test_replicate_path_drawn_in_one_place():
+    calls = sample_calls(SRC / "experiments.py")
+    # the walk sees the harness's own draw; every theorem takes the drawn path
+    assert [owner for owner, _ in calls] == ["_replicate"]

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pav
-from pav import bij231, experiments, parallel
+from pav import bij231, parallel
 from pav.errors import BadConfig, TooLarge
 from pav.experiments import (
     LATTICE_BLOCK,
@@ -375,7 +375,7 @@ class TestMoments:
     def test_replicate_counts_inversions_of_the_image(self):
         for r in range(5):
             path = pav.sample_uniform(500, substream(4, 500, r))
-            inv, _ = moment_replicate(500, substream(4, 500, r))
+            inv, _ = moment_replicate(path)
             assert inv == inversions(bij231.forward(path)) / 500**1.5
 
     def test_exhaustive_mean_inversions_n2(self):
@@ -389,7 +389,7 @@ class TestMoments:
         report = run_experiment(cfg)
         raw = {(r, stat): v for (_, r, stat, v) in report.raw}
         for r in range(10):
-            inv, mx = moment_replicate(200, substream(3, 200, r))
+            inv, mx = moment_replicate(pav.sample_uniform(200, substream(3, 200, r)))
             assert raw[r, "inversions_scaled"] == inv and raw[r, "max_scaled"] == mx
         assert report.rows(statistic="max_scaled")[0]["mean"] > 0
 
@@ -649,17 +649,13 @@ def test_raw_values_frozen(theorem):
 # random_index is left out: it draws its own index set from the stream, so
 # its statistic is not a function of the path alone
 @pytest.mark.parametrize("theorem", ["height", "moments", "petrov", "thm231", "thm321"])
-def test_small_n_means_match_exact_means(monkeypatch, theorem):
+def test_small_n_means_match_exact_means(theorem):
     """The exact mean of each statistic over all C_8 = 1430 paths of
     semilength 8, against a seeded Monte Carlo run: |z| <= 4 with the exact
     standard deviation, and equal means for a statistic constant on them."""
     n, reps = 8, 4000
     cfg = ExperimentConfig(theorem_id=theorem, n_grid=(n,), replicates=reps, seed=4242)
-    exact = []
-    with monkeypatch.context() as m:  # each replicate draws its path through sample_uniform
-        for path in pav.enumerate_all(n):
-            m.setattr(experiments, "sample_uniform", lambda n, stream: path)
-            exact.append(REPLICATES[theorem](n, None, cfg))
+    exact = [REPLICATES[theorem](path, None, cfg) for path in pav.enumerate_all(n)]
     assert len(exact) == pav.catalan(n)
     for row in run_experiment(cfg, workers=2).results:
         values = np.array([d[row["statistic"]] for d in exact])

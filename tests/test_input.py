@@ -13,8 +13,9 @@ from pav import bij231, dyck, experiments, parallel, perms, rng, trees
 from pav.errors import BadConfig, BadStep, DomainError, IndexOutOfRange, PavError, RangeError
 from pav.scaled import ScaledFunction
 
+PATH = pav.from_text("UUDUDD")
 PERM = pav.Permutation([2, 1, 3])
-TREE = trees.from_contour(pav.from_text("UUDUDD"))
+TREE = trees.from_contour(PATH)
 
 
 def config(**fields):
@@ -66,6 +67,8 @@ REALS = [
     ("subtree_size_limit c", lambda v: trees.subtree_size_limit(v, 0.5), DomainError, "c"),
     ("subtree_size_limit alpha", lambda v: trees.subtree_size_limit(1.0, v),
      DomainError, "alpha"),
+    ("se_set c", lambda v: experiments.se_set(PATH, v, 0.4), ValueError, "c"),
+    ("se_set alpha", lambda v: experiments.se_set(PATH, 1.0, v), ValueError, "alpha"),
 ]
 
 
@@ -88,9 +91,10 @@ def test_scalar_sites_refuse_non_integers(site, call, error, name, value):
 
 @pytest.mark.parametrize("value", [
     [1.0, -1.0], np.array([2.5, 3.0]), [True, False], np.array([True]), ["1", "2"],
-    [[1, -1]], np.array([[1, 2], [3, 4]]), 2, None,
+    [[1, -1]], np.array([[1, 2], [3, 4]]), 2, None, [1, True], (np.True_, 2),
+    [np.array(True), 1],
 ], ids=["floats", "float array", "bools", "bool array", "strings", "2-d", "2-d array",
-        "scalar", "None"])
+        "scalar", "None", "bool among ints", "numpy bool among ints", "0-d bool among ints"])
 @pytest.mark.parametrize("site,call,error,name", ARRAYS, ids=[s[0] for s in ARRAYS])
 def test_array_sites_refuse_non_integers(site, call, error, name, value):
     refused(call, value, error, name)
@@ -102,9 +106,22 @@ def test_real_sites_refuse_strings_bools_and_non_finite(site, call, error, name,
     refused(call, value, error, name)
 
 
-@pytest.mark.parametrize("y", [["1", "2"], [True, False], [0.0, math.nan], [math.inf, 0.0]])
+@pytest.mark.parametrize("y", [["1", "2"], [True, False], [True, 0.5], (1.0, np.True_),
+                               [0.0, math.nan], [math.inf, 0.0]])
 def test_ordinates_are_finite_reals(y):
     refused(lambda v: ScaledFunction([0, 1], 1, v), y, ValueError, "y")
+
+
+@pytest.mark.parametrize("grid", [5, "12", np.int64(12), [[10, 20]]])
+def test_n_grid_is_a_sequence(grid):
+    refused(lambda v: config(n_grid=v), grid, BadConfig, "n_grid")
+
+
+@pytest.mark.parametrize("grid", [(10, 20), [10, 20], np.array([10, 20], dtype=np.uint8)],
+                         ids=["tuple", "list", "array"])
+def test_n_grid_sequences_accepted(grid):
+    assert config(n_grid=grid).n_grid == (10, 20)
+    assert all(type(n) is int for n in config(n_grid=grid).n_grid)
 
 
 @pytest.mark.parametrize("keep_raw", ["no", 0, 1, None, np.True_])

@@ -48,7 +48,7 @@ for step in (1, -1):  # every step up, then every step down
 dyck.as_generator = pav.rng.as_generator
 
 experiments.max_deficit = lambda sigma: -1
-expect_raise("moment identity", lambda: experiments.moment_replicate(50, 1))
+expect_raise("moment identity", lambda: experiments.moment_replicate(pav.sample_uniform(50, 1)))
 
 experiments.catalan = lambda n: 0
 expect_raise("oracle path count", lambda: experiments.exact_moment_oracle(3))

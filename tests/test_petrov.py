@@ -2,6 +2,7 @@
 witnesses, derived claims, frequency diagnostic."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -399,6 +400,11 @@ class TestFrequency:
     def test_empty_sample(self):
         with pytest.raises(BadConfig, match="replicates must be >= 1"):
             petrov_frequency(100, 0, seed=1)
+
+    def test_numpy_integers_serialize(self):
+        out = petrov_frequency(np.int64(20), np.int64(2), np.int64(0))
+        assert json.dumps(out) == json.dumps(petrov_frequency(20, 2, 0))
+        assert type(out["n"]) is int and type(out["replicates"]) is int
 
     @pytest.mark.parametrize("n,replicates,seed", [(5, 40, 3), (8, 25, 0)])
     def test_matches_direct_checks(self, n, replicates, seed):
