@@ -55,29 +55,25 @@ def _sweep_runs(path: DyckPath, f: ScaledFunction, op) -> list:
     x = 0..2n of |op(G, f)| at x/(2n), op np.add or np.subtract: the maximal
     runs of consecutive candidate segments of f, each with its end knots.
 
-    d holds |op(G, f)| at f's knots, where f's value is its stored ordinate.
-    On a segment of L lattice steps f is linear, so op(G, f) is its chord
-    plus G's deviation from G's chord, and a +-1 walk deviates from its
-    chord by at most L/2 steps: |op(G, f)| <= max(|d0|, |d1|) + L/(2 sqrt(2n))
-    in exact arithmetic, d0 and d1 the knot values.  Every value and bound
-    compared here is at most T = sqrt(2n) + max|y| (|G| <= n/sqrt(2n) and
-    L <= 2n), and its float rounding, the interpolation's included, is
-    under 16 u T, u = 2**-53.  The margin is 2**-44 T', 32 times that for
-    T' = sqrt(2n) + max(d) + n/sqrt(2n) >= T, as |y| <= d + |G| at a knot.
-    A segment is a candidate if its bound reaches max(d) - margin, so every
-    point outside the runs has a computed value below max(d); the knot
-    attaining max(d) ends a candidate segment, so a run holds it.
+    In units of 1/sqrt(2n), f's ordinates are exceedances E, |E| <= n:
+    E = rint(y sqrt(2n)) must give y back bit for bit (else
+    NotReconstructible).  A +-1 walk strays at most L/2 steps from its chord
+    over L steps, so the integer max(d0, d1) + L // 2 bounds a segment of L
+    lattice steps, d = |op(gamma, E)| at its knots; it is a candidate iff
+    that reaches max(d).  A swept value lies within 32 * 2**-53 * n units of
+    the exact one, under 1/2 for n < 2**47: the knot attaining max(d) ends a
+    candidate, so a run holds it, and it sweeps above every point outside.
     """
     den = 2 * path.n
     scale = np.sqrt(den)
+    e = np.rint(f.y * scale)
+    if not np.array_equal(e / scale, f.y):
+        raise NotReconstructible("ordinates are not integers over sqrt(2n)")
     x = f.t_num * (den // f.t_den)
-    d = path.heights[x] / scale
-    d = np.abs(op(d, f.y, out=d), out=d)
-    top = d.max()
-    bound = np.diff(x) / (2 * scale)
-    bound += np.maximum(d[:-1], d[1:])
-    candidate = bound >= top - 2.0**-44 * (scale + top + path.n / scale)
-    edge = x[np.flatnonzero(np.diff(candidate, prepend=False, append=False))]
+    d = np.abs(op(path.heights[x], e, out=e), out=e)
+    bound = np.maximum(d[:-1], d[1:])
+    bound += np.diff(x) >> 1  # L // 2
+    edge = x[np.flatnonzero(np.diff(bound >= d.max(), prepend=False, append=False))]
     return list(zip(edge[::2].tolist(), (edge[1::2] + 1).tolist()))
 
 
@@ -96,9 +92,8 @@ def _sweep(den: int, runs, f: ScaledFunction, g, op) -> float:
 
 
 def _lattice_sup(path: DyckPath, f: ScaledFunction, op) -> float:
-    """max over x = 0..2n of |op(G, f)| at x/(2n), G the scaled path
-    heights / sqrt(2n): the bits of a sweep over every lattice point, which
-    sweeps only the runs that can hold the maximum."""
+    """max over x = 0..2n of |op(G, f)| at x/(2n), G = heights / sqrt(2n):
+    a whole sweep's bits, from a sweep of the runs that can hold it."""
     den = 2 * path.n
     scale = np.sqrt(den)
     return _sweep(den, _sweep_runs(path, f, op), f,
@@ -117,11 +112,11 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     Every knot lies on the lattice x/(2n), x = 0..2n, so the sups are
     maxima over that lattice: G's values are its ordinates, negation is
     exact, and a - (-b) == a + b in IEEE arithmetic.  The first two sweep
-    only the runs of segments, with their end knots, whose bound reaches
-    the maximum at F's knots (_sweep_runs).  F_plus + F_minus has its
-    knots at the even points x = 2a, the union grid of that pair; it is
-    swept at a/n, whose values are those at 2a/(2n) bit for bit, since
-    2p/2q == p/q in IEEE arithmetic.
+    only the runs of segments, with their end knots, whose integer bound
+    in units of 1/sqrt(2n) reaches the largest knot value (_sweep_runs).
+    F_plus + F_minus has its knots at the even points x = 2a, the union
+    grid of that pair; it is swept at a/n, whose values are those at
+    2a/(2n) bit for bit, since 2p/2q == p/q in IEEE arithmetic.
     """
     tau = bij321.forward(path)
     n = path.n
@@ -133,9 +128,20 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
 def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
     """Indices i in 1..n whose fringe subtree has at most c*n^alpha
     vertices (the "short excursion" set)."""
-    sizes = excursions(path).fringe_sizes()
-    bound = real(c, "c") * path.n**real(alpha, "alpha")
-    return np.nonzero(sizes <= bound)[0] + 1
+    c, alpha, n = real(c, "c"), real(alpha, "alpha"), path.n
+    power = _no_overflow(lambda: n**alpha, "alpha", alpha, "n**alpha", n)
+    bound = _no_overflow(lambda: c * power, "c", c, "c * n**alpha", n)
+    return np.nonzero(excursions(path).fringe_sizes() <= bound)[0] + 1
+
+
+def _no_overflow(power, name: str, value: float, formula: str, n: int, error=ValueError) -> float:
+    """power(), formula at n, unless it overflows: then error names name=value."""
+    try:
+        if math.isfinite(out := power()):
+            return out
+    except OverflowError:
+        pass
+    raise error(f"{name}={value!r} makes {formula} overflow at n={n}")
 
 
 def coupling_231(path: DyckPath, index_set) -> float:
@@ -147,8 +153,9 @@ def coupling_231(path: DyckPath, index_set) -> float:
     Equals sup_distance(scaled_path(path), -f) bit for bit: every knot
     lies on the lattice x/(2n), G's values there are its ordinates, and
     a - (-b) == a + b in IEEE arithmetic.  The sup sweeps only the runs of
-    segments, with their end knots, whose bound reaches the maximum at f's
-    knots (_sweep_runs); the empty set's one segment is the whole lattice.
+    segments, with their end knots, whose integer bound in units of
+    1/sqrt(2n) reaches the largest knot value (_sweep_runs); the empty
+    set's one segment is the whole lattice.
     """
     return _lattice_sup(path, scaled_function(bij231.forward(path), index_set), np.add)
 
@@ -304,21 +311,13 @@ class ExperimentConfig:
                  for name in ("c", "alpha", "epsilon")}
         if not isinstance(self.keep_raw, bool):
             raise BadConfig(f"keep_raw must be a bool, not {self.keep_raw!r}")
-        n, alpha = grid[-1], reals["alpha"]  # an overflow anywhere in the grid shows at its top
-        for name, formula, power in (
-            ("alpha", "n**alpha", lambda: n**alpha),
-            ("c", "c * n**alpha", lambda: reals["c"] * n**alpha),
-            ("epsilon", "n**(0.75 + epsilon)", lambda: n ** (0.75 + reals["epsilon"])),
-        ):
-            try:
-                overflow = not math.isfinite(power())
-            except OverflowError:
-                overflow = True
-            if overflow:
-                raise BadConfig(f"{name}={reals[name]!r} makes {formula} overflow at n={n}")
+        n, (c, alpha, eps) = grid[-1], reals.values()  # an overflow shows at the grid's top
+        _no_overflow(lambda: n**alpha, "alpha", alpha, "n**alpha", n, BadConfig)
+        _no_overflow(lambda: c * n**alpha, "c", c, "c * n**alpha", n, BadConfig)
+        _no_overflow(lambda: n ** (0.75 + eps), "epsilon", eps, "n**(0.75 + epsilon)", n, BadConfig)
         if self.theorem_id in ("subtree", "random_index"):  # floor(c n^alpha) is a count
             for size in grid:
-                if (k := int(reals["c"] * size**alpha)) < 1:
+                if (k := int(c * size**alpha)) < 1:
                     raise BadConfig(f"threshold floor(c*n^alpha) = {k} < 1 at n={size}")
         for name, value in dict(n_grid=grid, replicates=replicates, seed=seed, **reals).items():
             object.__setattr__(self, name, value)  # the dataclass is frozen

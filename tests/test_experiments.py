@@ -1,6 +1,7 @@
 """Coupling statistics, moment oracle, and the experiment harness."""
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import pav
 from pav import bij231, parallel
-from pav.errors import BadConfig, TooLarge
+from pav.errors import BadConfig, NotReconstructible, TooLarge
 from pav.experiments import (
     LATTICE_BLOCK,
     REPLICATES,
@@ -143,10 +144,42 @@ class TestCandidateSegments:
                 last = stop
             assert max(values[start:stop].max() for start, stop in runs) == values.max()
 
+    @given(path_and_index_set())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_the_integer_oracle(self, case):
+        # the maximal runs of segments whose bound max(d0, d1) + L/2 reaches
+        # max(d), d = |gamma(2a) -+ E(a)| at the knots a, in Python ints
+        path, b = case
+        n = path.n
+        gamma = path.heights.tolist()
+        tau, sigma = pav.bij321.forward(path), bij231.forward(path)
+        cases = [(sigma, b, 1)] + [(tau, e, s) for e, s in zip(exceedance_sets(tau), (-1, 1))]
+        for perm, indices, sign in cases:
+            f = scaled_function(perm, indices)
+            images, kept = perm.images.tolist(), set(indices.tolist())
+            knots = sorted(kept | {0, n})
+            d = [abs(gamma[2 * a] + sign * (images[a - 1] - a if a in kept and a else 0))
+                 for a in knots]
+            top = max(d)
+            reach = [max(d[i], d[i + 1]) + knots[i + 1] - knots[i] >= top  # L/2 = a1 - a0
+                     for i in range(len(knots) - 1)]
+            want = []
+            for keep, run in itertools.groupby(range(len(reach)), key=reach.__getitem__):
+                if keep:
+                    run = list(run)
+                    want.append((2 * knots[run[0]], 2 * knots[run[-1] + 1] + 1))
+            assert _sweep_runs(path, f, np.subtract if sign < 0 else np.add) == want
+
+    def test_non_lattice_ordinates_raise(self):
+        # 0.3 * sqrt(4) is no integer: the ordinate is no exceedance over sqrt(2n)
+        f = pav.ScaledFunction([0, 1, 2], 2, [0.0, 0.3, 0.0])
+        with pytest.raises(NotReconstructible):
+            _sweep_runs(pav.from_text("UUDD"), f, np.add)
+
     def test_segment_whose_bound_ties_best_is_swept(self):
-        # tents of height 2 between knots on the floor, sqrt(2n) = 4 exactly:
-        # the outer segments' bound 0 + 4 / (2 * 4) equals the knot maximum
-        # 0.5, and rounding could lift their apex above it, so they are swept
+        # tents of height 2 between knots on the floor, sqrt(2n) = 4: in units
+        # of 1/4 the middle knot's E is 2 = max(d), and the outer segments'
+        # bound 0 + 4/2 = 2 ties it exactly, so they are swept
         path = pav.from_text("UUDD" * 4)
         f = pav.ScaledFunction([0, 2, 4, 6, 8], 8, [0.0, 0.0, 0.5, 0.0, 0.0])
         assert _sweep_runs(path, f, np.add) == [(0, 17)]

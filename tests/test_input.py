@@ -4,6 +4,7 @@ None are refused with an error that names the parameter, never truncated,
 parsed or cast.  An empty sequence of any dtype is empty."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,6 +129,16 @@ def test_n_grid_sequences_accepted(grid):
 def test_keep_raw_is_a_bool(keep_raw):
     refused(lambda v: config(keep_raw=v), keep_raw, BadConfig, "keep_raw")
     assert config(keep_raw=True).keep_raw is True
+
+
+@pytest.mark.parametrize("c,alpha,message", [
+    (1.0, 1e308, "alpha=1e+308 makes n**alpha overflow at n=3"),
+    (1e308, 10.0, "c=1e+308 makes c * n**alpha overflow at n=3"),
+])
+def test_se_set_threshold_must_not_overflow(c, alpha, message):
+    # the wording of ExperimentConfig, whose check it shares
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        experiments.se_set(PATH, c, alpha)
 
 
 def test_bounds_name_the_parameter():

@@ -58,6 +58,11 @@ expect_raise("int64 overflow", lambda: ints_from_text("9223372036854775808"), Ov
 expect_raise("non-ASCII digit", lambda: ints_from_text("1 \uff12"), ValueError)
 expect_raise("float index set", lambda: scaled_function(pav.Permutation([1, 2]), [1.5]), ValueError)
 expect_raise("float run lengths", lambda: dyck.from_runs([2.7], [2.2]), BadStep)
+# The coupling sweeps pick their runs in integer units: an ordinate that is
+# no integer over sqrt(2n) cannot be one of an exceedance interpolation.
+off_lattice = pav.ScaledFunction([0, 1, 2], 2, [0.0, 0.3, 0.0])
+expect_raise("non-lattice ordinates",
+             lambda: experiments._sweep_runs(pav.from_text("UUDD"), off_lattice, np.add))
 print("ok")
 """
 
