@@ -5,8 +5,8 @@ Text formats are shared with the library: paths are U/D strings,
 permutations are space-separated one-indexed images, and trees are the
 space-separated parent labels of v_1..v_N-1 (the root v_0 is implicit).
 stdout carries data only; diagnostics go to stderr.  Exit codes: 0
-success, 1 data error or an allocation the machine refuses, 2 usage
-error.
+success, 1 data error, an allocation the machine refuses or a file that
+cannot be written, 2 usage error.
 """
 
 from __future__ import annotations
@@ -244,10 +244,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (DataError, PavError, ValueError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
+        return 1
+    except (DataError, PavError, ValueError, OverflowError, MemoryError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)  # OSError: an --out or --keep-raw path
         return 1
 
 

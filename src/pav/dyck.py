@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import (
     BadStep,
-    EmptySet,
     InvalidPath,
     NegativeExcursion,
     NotBalanced,
@@ -245,14 +244,11 @@ def from_runs(up, down) -> DyckPath:
 
 
 def runs(path: DyckPath) -> RunDecomposition:
-    """Run-length decomposition of a nonempty path, cached on it read-only."""
+    """Run-length decomposition (m = 0 runs for the empty path), cached on it read-only."""
     if path._runs is not None:
         return path._runs
-    steps = path.steps
-    if steps.size == 0:
-        raise EmptySet("runs are undefined for the empty path")
-    change = np.flatnonzero(steps[1:] != steps[:-1])
-    bounds = np.concatenate(([0], change + 1, [steps.size]))
+    ends = np.concatenate(([0], path.steps, [0]), dtype=np.int8)  # a run starts at a change
+    bounds = np.flatnonzero(ends[1:] != ends[:-1])
     lengths = np.diff(bounds)
     # A valid path starts with an up-run and ends with a down-run, so the
     # runs strictly alternate U,D,U,D,... with an even count.
@@ -295,29 +291,23 @@ def excursions(path: DyckPath) -> ExcursionTable:
     """(v_i, h_i, l_i) for all n excursions, computed once per path in
     O(n log n) and cached on it.
 
-    Matching rule: inside height level h, the k-th up-step into the level
-    closes with the k-th down-step out of it, since entries and exits of
-    a level strictly alternate.  Grouping both step families by level
-    with one stable argsort matches every excursion at once.
+    Closing rule: the excursion opened by the up-step at position s ends
+    at the path's next visit to height gamma(s).  One stable argsort of
+    gamma(0..2n) lists each height's visits in order, so that visit
+    follows s in it.
     """
     if path._excursions is not None:
         return path._excursions
-    steps = path.steps
-    n = path.n
-    if n == 0:
-        raise EmptySet("excursions are undefined for the empty path")
     gamma = path.heights
-    up_pos = np.flatnonzero(steps == 1) + 1  # position after each up-step
-    down_pos = np.flatnonzero(steps != 1) + 1
-    up_level = gamma[up_pos]
-    # Levels lie in 1..max height; below 2**16 (heights are O(sqrt n) on
-    # uniform paths) numpy's stable argsort is a radix sort.
-    level = np.min_scalar_type(up_level.max())
-    order_u = np.argsort(up_level.astype(level), kind="stable")
-    order_d = np.argsort((gamma[down_pos] + 1).astype(level), kind="stable")
-    close = np.empty(n, dtype=np.int64)
-    close[order_u] = down_pos[order_d]
-    table = ExcursionTable(n=n, v=up_pos, h=up_level, l=close - up_pos + 1)
+    # Heights are O(sqrt n) on uniform paths; below 2**16 numpy's stable
+    # argsort is a radix sort.
+    order = np.argsort(gamma.astype(np.min_scalar_type(gamma.max())), kind="stable")
+    after = np.empty_like(order)
+    after[order[:-1]] = order[1:]  # an up-step's start is never a height's last visit
+    del order  # freed before the table is built
+    start = np.flatnonzero(path.steps == 1)  # the position before each up-step
+    v = start + 1
+    table = ExcursionTable(n=path.n, v=v, h=gamma[v], l=after[start] - start)
     if np.any(table.l & 1):  # an excursion returns to its level: even length
         raise NotReconstructible("odd excursion length: corrupted path state")
     for arr in (table.v, table.h, table.l):

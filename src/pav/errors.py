@@ -40,10 +40,6 @@ class IndexOutOfRange(PavError, IndexError):
     """A 1-indexed position or 0..n index is outside its valid range."""
 
 
-class EmptySet(PavError, ValueError):
-    """An index set argument that must be nonempty is empty."""
-
-
 class Not321Avoiding(PavError, ValueError):
     """Input permutation contains a 321 pattern where a 321-avoider is required."""
 

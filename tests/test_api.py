@@ -1,7 +1,7 @@
 """The public namespace: every name in pav.__all__ resolves, once, and
 every pav name the benchmark scripts use still exists.  The integer rule
-lives in one module, and the experiment harness draws each replicate's
-path in one function."""
+lives in one module, the experiment harness draws each replicate's path
+in one function, and every error class is raised somewhere."""
 
 import ast
 import importlib
@@ -126,3 +126,32 @@ def test_replicate_path_drawn_in_one_place():
     calls = sample_calls(SRC / "experiments.py")
     # the walk sees the harness's own draw; every theorem takes the drawn path
     assert [owner for owner, _ in calls] == ["_replicate"]
+
+
+def error_classes_and_uses() -> tuple[set, set]:
+    """The classes of errors.py that no class there derives from, and the
+    names the pav sources raise or pass as a call argument (an entry
+    point's error class, as in integer(i, "i", IndexOutOfRange)).  The
+    files are parsed, never imported."""
+    body = ast.parse((SRC / "errors.py").read_text()).body
+    classes = {node.name: node for node in body if isinstance(node, ast.ClassDef)}
+    bases = {base.id for node in classes.values() for base in node.bases
+             if isinstance(base, ast.Name)}
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                used.add(getattr(exc, "id", None))
+            elif isinstance(node, ast.Call):
+                args = [*node.args, *(keyword.value for keyword in node.keywords)]
+                used.update(arg.id for arg in args if isinstance(arg, ast.Name))
+    return set(classes) - bases, used
+
+
+def test_every_error_class_is_raised():
+    leaves, used = error_classes_and_uses()
+    # the walk sees the leaf classes, and both kinds of use
+    assert {"BadStep", "IndexOutOfRange", "BadConfig"} <= leaves
+    assert {"Not321Avoiding", "IndexOutOfRange"} <= used
+    assert sorted(leaves - used) == []

@@ -98,6 +98,15 @@ class TestMap:
         code, out, err = run_cli(["map", "--from", "tree", "--to", "tree", ""], capsys=capsys)
         assert (code, out, err) == (0, "\n", "")
 
+    @pytest.mark.parametrize("args", [
+        ["stats"], ["stats", "--as", "tree"], ["map", "--from", "dyck", "--to", "321"],
+        ["map", "--from", "dyck", "--to", "231"], ["map", "--from", "tree", "--to", "231"],
+    ], ids=" ".join)
+    def test_empty_path_has_no_permutation(self, capsys, args):
+        # the empty path and the one-vertex tree are valid; a permutation needs n >= 1
+        code, out, err = run_cli([*args, ""], capsys=capsys)
+        assert (code, out, err) == (1, "", "error: images must be a bijection on 1..n, n >= 1\n")
+
     def test_stdin_lines(self, capsys):
         code, out, _ = run_cli(
             ["map", "--from", "dyck", "--to", "231"],
@@ -291,6 +300,19 @@ class TestExperimentCmd:
         assert code == 0 and out == ""
         payload = json.loads(out_file.read_text())
         assert [r["n"] for r in payload["results"]] == [50, 100]
+
+    @pytest.mark.parametrize("flag", ["--out", "--keep-raw"])
+    @pytest.mark.parametrize("target", ["missing", "directory"])
+    def test_unwritable_output_exit_1(self, capsys, tmp_path, flag, target):
+        path = tmp_path / "missing" / "r.json" if target == "missing" else tmp_path
+        code, out, err = run_cli(
+            ["experiment", "--theorem", "height", "--n-grid", "10", "--replicates", "2",
+             "--no-timing", flag, str(path)], capsys=capsys,
+        )
+        assert code == 1 and err.startswith("error: [Errno ") and err.count("\n") == 1
+        assert str(path) in err and "Traceback" not in err
+        # --keep-raw writes its CSV after the report, which is on stdout by then
+        assert (out == "") == (flag == "--out")
 
     @pytest.mark.parametrize("theorem,name,value", [
         ("thm231", "c", "nan"),

@@ -12,7 +12,6 @@ import pav
 from pav import dyck
 from pav.errors import (
     BadStep,
-    EmptySet,
     NegativeExcursion,
     NotBalanced,
     OddLength,
@@ -260,9 +259,11 @@ class TestRuns:
         assert list(rd.complement_A()) == [1, 3, 4, 5, 7, 8, 9]
         assert list(rd.complement_D()) == [2, 4, 6, 7, 8, 9, 10]
 
-    def test_empty_path_rejected(self):
-        with pytest.raises(EmptySet):
-            pav.runs(pav.DyckPath(""))
+    def test_empty_path_has_no_runs(self):
+        rd = pav.runs(pav.DyckPath(""))
+        assert rd.n == rd.m == 0
+        for arr in (rd.a, rd.d, rd.A, rd.D, rd.set_A(), rd.complement_A(), rd.complement_D()):
+            assert arr.dtype == np.int64 and arr.size == 0
 
     def test_cached_and_read_only(self):
         p = random_path(30, 1)
@@ -346,6 +347,15 @@ class TestExcursionTable:
         et = pav.excursions(p)
         for got, want in zip((et.v, et.h, et.l), excursions_by_stack(p)):
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_every_small_path_equals_stack_oracle(self, n):
+        # n = 0: the empty path's table is empty
+        for p in pav.enumerate_all(n):
+            et = pav.excursions(p)
+            assert et.n == n
+            for got, want in zip((et.v, et.h, et.l), excursions_by_stack(p)):
+                assert got.dtype == np.int64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("height", [255, 256, 65_535, 65_536, 70_000])
     def test_tall_paths_equal_stack_oracle(self, height):

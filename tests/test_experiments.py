@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pav
-from pav import bij231, parallel
+from pav import bij231, bij321, dyck, parallel, petrov
 from pav.errors import BadConfig, NotReconstructible, TooLarge
 from pav.experiments import (
     LATTICE_BLOCK,
@@ -318,6 +318,21 @@ class TestHeightVsContour:
 
     def test_sawtooth_n100(self):
         assert height_vs_contour(pav.from_text("UD" * 100)) == pytest.approx(1 / 10)
+
+
+# Each entry point that needs n >= 1 refuses the empty path by naming n;
+# runs and excursions take it (TestRuns, TestExcursionTable).
+@pytest.mark.parametrize("call", [
+    bij321.forward, bij231.forward, coupling_321, lambda path: coupling_231(path, []),
+    bij321.coupling_bounds, moment_replicate, height_vs_contour, dyck.scaled_path,
+    petrov.check_petrov, petrov.check_voucher,
+], ids=["bij321.forward", "bij231.forward", "coupling_321", "coupling_231",
+        "coupling_bounds", "moment_replicate", "height_vs_contour", "scaled_path",
+        "check_petrov", "check_voucher"])
+def test_empty_path_refused_by_name(call):
+    message = r"^(n must be|images must be a bijection on 1\.\.n, n) >= 1$"
+    with pytest.raises(ValueError, match=message):
+        call(pav.DyckPath(""))
 
 
 def area_dp(n):

@@ -134,11 +134,34 @@ def test_keep_raw_is_a_bool(keep_raw):
 @pytest.mark.parametrize("c,alpha,message", [
     (1.0, 1e308, "alpha=1e+308 makes n**alpha overflow at n=3"),
     (1e308, 10.0, "c=1e+308 makes c * n**alpha overflow at n=3"),
+    (1.0, -0.4, "alpha=-0.4 makes n**alpha overflow at n=0"),  # 0.0**-0.4 is +inf
 ])
 def test_se_set_threshold_must_not_overflow(c, alpha, message):
-    # the wording of ExperimentConfig, whose check it shares
+    # the wording of ExperimentConfig, whose check it shares, on a path of the n named
+    path = pav.DyckPath("UD" * int(message.rpartition("=")[2]))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        experiments.se_set(PATH, c, alpha)
+        experiments.se_set(path, c, alpha)
+
+
+# (id, call, error class, message) of each check on a value's structure
+STRUCTURES = [
+    ("unequal lengths", lambda: ScaledFunction([0, 1, 2], 2, [0.0, 0.0]),
+     ValueError, "knot arrays must be of equal length"),
+    ("one knot", lambda: ScaledFunction([0], 1, [0.0]),
+     ValueError, "need at least the two endpoint knots"),
+    ("short of [0,1]", lambda: ScaledFunction([0, 1], 2, [0.0, 0.0]),
+     ValueError, "knots must span [0,1] exactly"),
+    ("knots not increasing", lambda: ScaledFunction([0, 2, 1, 2], 2, [0.0] * 4),
+     ValueError, "knot abscissae must be strictly increasing"),
+    ("root with a parent", lambda: trees.OrderedTree([0, 0]),
+     ValueError, "root (label 0) must have parent -1"),
+]
+
+
+@pytest.mark.parametrize("site,call,error,message", STRUCTURES, ids=[s[0] for s in STRUCTURES])
+def test_structure_checks_name_the_fault(site, call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_bounds_name_the_parameter():
@@ -148,6 +171,9 @@ def test_bounds_name_the_parameter():
         perms.exceedance(PERM, -1)
     with pytest.raises(RangeError, match="^k must be >= 1, not 0$"):
         trees.hat_xi(TREE, 0)
+    for replicates in (0, -5):  # subtree draws none, yet needs one like every theorem
+        refused(lambda v: config(theorem_id="subtree", replicates=v), replicates,
+                BadConfig, "replicates")
 
 
 @pytest.mark.parametrize("cast", [np.int8, np.uint16, np.int64, np.uint64])
