@@ -5,7 +5,9 @@ the excursion opened by the i-th up-step.
 Equivalently, reading the path as the contour of an ordered tree,
 sigma(i) = i + |subtree of v_i| - depth(v_i).  The inverse rebuilds the
 path from its peaks: each length-2 excursion is a peak, and it shows in
-sigma as a weak local minimum of sigma(i) - i.
+sigma as a weak local minimum of sigma(i) - i.  It then certifies the
+path in O(n), with no sort: each excursion length that sigma claims
+must end on the path at the level where that excursion starts.
 """
 
 from __future__ import annotations
@@ -31,8 +33,15 @@ def inverse(perm: Permutation) -> DyckPath:
     sigma(i) - i has a weak local minimum exactly at the length-2
     excursions, where the path peaks at position 2i - h_i with height
     h_i = 1 - (sigma(i) - i); a Dyck path is determined by its peaks.
-    The rebuilt path is mapped forward again, so an input is accepted
-    only if it is an image; every rejection raises Not231Avoiding.
+
+    The rebuilt path maps back iff each claimed excursion end
+    c_i = s_i + 2(sigma(i) - i + h_i), with s_i the position before the
+    i-th up-step, is a position at level gamma(s_i).  The first such
+    position after s_i is the true end, so sigma(i) is at least the
+    image's i-th value, and two permutations of 1..n with equal sums
+    are equal.  c_i > s_i needs no check: along each up-run of the
+    rebuilt path sigma(i) - i + h_i never rises, and it is 1 at the peak.
+    Every rejection raises Not231Avoiding.
     """
     n = perm.n
     delta = perm.images - np.arange(1, n + 1, dtype=np.int64)
@@ -47,7 +56,10 @@ def inverse(perm: Permutation) -> DyckPath:
     descents = np.concatenate((h_pk[:-1] - valley, [h_pk[-1]]))
     try:
         path = from_runs(climbs, descents)
-        if forward(path) == perm:
+        gamma = path.heights
+        s = np.flatnonzero(path.steps == 1)  # the position before each up-step
+        c = s + 2 * (delta + gamma[s] + 1)  # claimed excursion ends s_i + l_i
+        if (c <= 2 * n).all() and (gamma[c] == gamma[s]).all():
             return path
     except InvalidPath:  # peaks that no Dyck path has
         pass

@@ -4,7 +4,9 @@
 Forward rule: with run prefix sums A_i, D_i of the path, tau sends each
 D_i (i < m) to 1 + A_i and maps the remaining positions increasingly
 onto the remaining values.  D_m = n is deliberately excluded: tau(n)
-would otherwise be n+1.  The inverse keeps only a path that maps back.
+would otherwise be n+1.  The inverse accepts tau iff its exceedance
+values and its remaining values each increase: exactly when the path
+rebuilt from its runs maps back.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .dyck import DyckPath, from_runs, runs
-from .errors import InvalidPath, Not321Avoiding
+from .errors import Not321Avoiding
 from .perms import Permutation
 from .petrov import below, check_petrov
 
@@ -33,19 +35,21 @@ def inverse(perm: Permutation) -> DyckPath:
     """Recover the unique Dyck path mapping to a 321-avoiding perm.
 
     The exceedances j (tau(j) > j) are D_1..D_{m-1}, with images
-    1 + A_1..1 + A_{m-1}, and A_m = D_m = n.  An input is accepted only
-    if the rebuilt path maps back to it; else Not321Avoiding is raised.
+    1 + A_1..1 + A_{m-1}, and A_m = D_m = n.  The rebuilt path maps back
+    iff the exceedance values increase (else an up-run is negative) and
+    the remaining values increase (forward sends the remaining positions
+    increasingly onto the remaining values).  Such a tau is two
+    increasing sequences, so it avoids 321 and from_runs accepts its
+    runs; any other input raises Not321Avoiding.
     """
     n, images = perm.n, perm.images
-    d_set = np.flatnonzero(images > np.arange(1, n + 1)) + 1
-    a = np.diff(images[d_set - 1] - 1, prepend=0, append=n)
-    d = np.diff(d_set, prepend=0, append=n)
-    try:
-        path = from_runs(a, d)
-        if forward(path) == perm:
-            return path
-    except InvalidPath:  # run lengths that no Dyck path has
-        pass
+    exceeds = images > np.arange(1, n + 1)
+    d_set = np.flatnonzero(exceeds) + 1
+    # compress is several times faster than a boolean index on such masks
+    values, rest = np.compress(exceeds, images), np.compress(~exceeds, images)
+    if (values[1:] > values[:-1]).all() and (rest[1:] > rest[:-1]).all():
+        return from_runs(np.diff(values - 1, prepend=0, append=n),
+                         np.diff(d_set, prepend=0, append=n))
     raise Not321Avoiding(f"input contains a 321 pattern: {perm}")
 
 

@@ -164,12 +164,12 @@ def _cmd_experiment(args) -> int:
         keep_raw=args.keep_raw is not None,
     )
     report = run_experiment(config, workers=args.threads)
+    if args.keep_raw:  # first, so a CSV that cannot be written leaves stdout empty
+        report.save_raw_csv(args.keep_raw)
     if args.out:
         report.save(args.out, include_timing=not args.no_timing)
     else:
         print(report.to_json(include_timing=not args.no_timing))
-    if args.keep_raw:
-        report.save_raw_csv(args.keep_raw)
     return 0
 
 

@@ -1,7 +1,8 @@
 """The public namespace: every name in pav.__all__ resolves, once, and
 every pav name the benchmark scripts use still exists.  The integer rule
 lives in one module, the experiment harness draws each replicate's path
-in one function, and every error class is raised somewhere."""
+in one function, every error class is raised somewhere, and no inverse
+bijection re-runs a forward map."""
 
 import ast
 import importlib
@@ -108,24 +109,24 @@ def test_integer_rule_lives_in_errors():
     assert sorted(site for site in sites if site[0] != "errors.py") == []
 
 
-def sample_calls(path: Path) -> list:
-    """(enclosing top-level function or None, line) of each call to
-    sample_uniform, by bare name or as an attribute, in one source file.
-    The file is parsed, never imported."""
+def calls(path: Path) -> list:
+    """(enclosing top-level function or None, called name) of each call,
+    by bare name or as an attribute, in one source file.  The file is
+    parsed, never imported."""
     found = []
     for top in ast.parse(path.read_text(), filename=str(path)).body:
         owner = top.name if isinstance(top, ast.FunctionDef) else None
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "sample_uniform" in (
-                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                found.append((owner, node.lineno))
+            if isinstance(node, ast.Call):
+                found.append((owner, getattr(node.func, "id", None)
+                              or getattr(node.func, "attr", None)))
     return found
 
 
 def test_replicate_path_drawn_in_one_place():
-    calls = sample_calls(SRC / "experiments.py")
+    owners = [owner for owner, name in calls(SRC / "experiments.py") if name == "sample_uniform"]
     # the walk sees the harness's own draw; every theorem takes the drawn path
-    assert [owner for owner, _ in calls] == ["_replicate"]
+    assert owners == ["_replicate"]
 
 
 def error_classes_and_uses() -> tuple[set, set]:
@@ -155,3 +156,11 @@ def test_every_error_class_is_raised():
     assert {"BadStep", "IndexOutOfRange", "BadConfig"} <= leaves
     assert {"Not321Avoiding", "IndexOutOfRange"} <= used
     assert sorted(leaves - used) == []
+
+
+def test_inverses_certify_without_recomputing():
+    for module in ("bij231.py", "bij321.py"):
+        called = {name for owner, name in calls(SRC / module) if owner == "inverse"}
+        # the walk sees the rebuild of the path
+        assert "from_runs" in called
+        assert sorted(called & {"forward", "excursions", "runs"}) == []

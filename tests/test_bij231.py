@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import pav
 from pav import bij231, trees
-from pav.errors import IndexOutOfRange, Not231Avoiding
+from pav.dyck import from_runs
+from pav.errors import IndexOutOfRange, InvalidPath, Not231Avoiding
 from pav.perms import (
     Permutation,
     avoids_231,
@@ -53,6 +54,38 @@ def tree_route_inverse(perm: Permutation) -> pav.DyckPath:
     if not avoids_231(perm):
         raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
     return trees.to_contour(ancestry_tree(perm))
+
+
+def peak_path(perm: Permutation) -> pav.DyckPath:
+    """The path bij231.inverse rebuilds from the peaks of perm; raises
+    InvalidPath for peaks that no Dyck path has."""
+    n = perm.n
+    delta = perm.images - np.arange(1, n + 1)
+    is_peak = np.append(delta[1:] >= delta[:-1], True)
+    i_pk = np.flatnonzero(is_peak) + 1
+    h_pk = 1 - delta[i_pk - 1]
+    valley = (h_pk[:-1] + h_pk[1:] - np.diff(2 * i_pk - h_pk)) // 2
+    return from_runs(np.append(h_pk[0], h_pk[1:] - valley),
+                     np.append(h_pk[:-1] - valley, h_pk[-1]))
+
+
+def recompute_inverse(perm: Permutation) -> pav.DyckPath:
+    """Oracle for bij231.inverse's certificate: rebuild the path from the
+    peaks, then require that it maps forward to perm."""
+    try:
+        path = peak_path(perm)
+        if bij231.forward(path) == perm:
+            return path
+    except InvalidPath:
+        pass
+    raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
+
+
+def claimed_ends(perm: Permutation, path: pav.DyckPath):
+    """(s, c): the position before each up-step of path, and the end
+    s_i + l_i of the excursion that perm claims it opens."""
+    s = np.flatnonzero(path.steps == 1)
+    return s, s + 2 * (perm.images - np.arange(1, perm.n + 1) + path.heights[s + 1])
 
 
 def transposed(perm: Permutation, data) -> Permutation:
@@ -137,16 +170,17 @@ class TestInverse:
             assert bij231.inverse(sigma) == tree_route_inverse(sigma) == p
 
     def test_peak_reconstruction_rejects(self):
-        for n in range(1, 7):
+        """Accepted iff 231-avoiding, with the outcome of the forward
+        recompute."""
+        for n in range(1, 8):
             for images in permutations(range(1, n + 1)):
                 perm = Permutation(images)
-                bad = contains_pattern(perm, P231)
-                try:
-                    bij231.inverse(perm)
-                    assert not bad
-                except Not231Avoiding as exc:
-                    assert bad
-                    assert str(exc) == f"input contains a 231 pattern: {perm}"
+                got = inverse_outcome(bij231.inverse, perm)
+                assert got == inverse_outcome(recompute_inverse, perm)
+                if contains_pattern(perm, P231):
+                    assert got == f"input contains a 231 pattern: {perm}"
+                else:
+                    assert isinstance(got, pav.DyckPath)
 
     @given(st.integers(1, 2000), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -154,16 +188,17 @@ class TestInverse:
         p = pav.sample_uniform(n, substream(seed))
         assert bij231.inverse(bij231.forward(p)) == p
 
-    @given(st.integers(2, 300), st.integers(0, 10_000), st.data())
+    @given(st.integers(2, 10_000), st.integers(0, 10_000), st.data())
     @settings(max_examples=150, deadline=None)
     def test_near_avoiders_match_oracle(self, n, seed, data):
         """One transposition of an image (of positions or of the adjacent
         values k, k+1) often keeps a valid peak structure, so the rejection
-        falls to the final forward check, which most random permutations
-        never reach."""
+        falls to the certificate, which most random permutations never
+        reach."""
         perm = transposed(bij231.forward(pav.sample_uniform(n, substream(seed))), data)
         got = inverse_outcome(bij231.inverse, perm)
         assert got == inverse_outcome(tree_route_inverse, perm)
+        assert got == inverse_outcome(recompute_inverse, perm)
 
     @given(st.permutations(range(1, 9)))
     @settings(max_examples=150, deadline=None)
@@ -171,6 +206,29 @@ class TestInverse:
         perm = Permutation(images)
         got = inverse_outcome(bij231.inverse, perm)
         assert got == inverse_outcome(tree_route_inverse, perm)
+
+    def test_each_certificate_clause_decides_a_case(self):
+        """Each permutation's peaks rebuild a Dyck path, so only the
+        certificate rejects it.  3 1 4 2 claims an excursion end beyond
+        2n: without the range clause inverse would index past the path.
+        3 1 4 2 5 claims every end on the path, one at another level:
+        without the level clause inverse would accept a path that maps
+        elsewhere."""
+        beyond = Permutation([3, 1, 4, 2])
+        _, c = claimed_ends(beyond, peak_path(beyond))
+        assert (c > 2 * beyond.n).any()
+
+        other_level = Permutation([3, 1, 4, 2, 5])
+        path = peak_path(other_level)
+        s, c = claimed_ends(other_level, path)
+        assert (c <= 2 * other_level.n).all()
+        assert not (path.heights[c] == path.heights[s]).all()
+        assert bij231.forward(path) != other_level
+
+        for perm in (beyond, other_level):
+            with pytest.raises(Not231Avoiding):
+                recompute_inverse(perm)
+            assert inverse_outcome(bij231.inverse, perm) == inverse_outcome(recompute_inverse, perm)
 
 
 class TestTreeFormula:

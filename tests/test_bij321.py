@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import pav
 from pav import bij321
-from pav.errors import Not321Avoiding
+from pav.dyck import from_runs
+from pav.errors import BadStep, InvalidPath, Not321Avoiding
 from pav.perms import Permutation, avoids_321, contains_pattern
 from pav.rng import substream
 from test_bij231 import transposed
@@ -26,10 +27,39 @@ def fig5_path():
     return pav.DyckPath(np.diff(FIG5_HEIGHTS))
 
 
-def inverse_outcome(perm: Permutation):
-    """The path bij321.inverse returns, or the message it rejects with."""
+def exceedance_runs(perm: Permutation):
+    """(up, down) run lengths read off the exceedances of perm: up-runs
+    from their images 1 + A_i, down-runs from their positions D_i."""
+    n, images = perm.n, perm.images
+    d_set = np.flatnonzero(images > np.arange(1, n + 1)) + 1
+    return (np.diff(images[d_set - 1] - 1, prepend=0, append=n),
+            np.diff(d_set, prepend=0, append=n))
+
+
+def certificate_clauses(perm: Permutation) -> tuple[bool, bool]:
+    """Whether the exceedance values increase, and whether the remaining
+    values do."""
+    images = perm.images
+    exceeds = images > np.arange(1, perm.n + 1)
+    return tuple(bool((np.diff(images[mask]) > 0).all()) for mask in (exceeds, ~exceeds))
+
+
+def recompute_inverse(perm: Permutation) -> pav.DyckPath:
+    """Oracle for bij321.inverse's certificate: rebuild the path from the
+    exceedance runs, then require that it maps forward to perm."""
     try:
-        return bij321.inverse(perm)
+        path = from_runs(*exceedance_runs(perm))
+        if bij321.forward(path) == perm:
+            return path
+    except InvalidPath:
+        pass
+    raise Not321Avoiding(f"input contains a 321 pattern: {perm}")
+
+
+def inverse_outcome(perm: Permutation, inverse=bij321.inverse):
+    """The path an inverse returns, or the message it rejects with."""
+    try:
+        return inverse(perm)
     except Not321Avoiding as exc:
         return str(exc)
 
@@ -87,12 +117,14 @@ class TestInverse:
                 assert bij321.inverse(bij321.forward(p)) == p
 
     def test_inverse_then_forward_exhaustive(self):
-        """Accepted iff 321-avoiding, and an accepted input maps back."""
+        """Accepted iff 321-avoiding, and an accepted input maps back: the
+        outcome of the forward recompute."""
         rejected = 0
         for n in range(1, 8):
             for images in permutations(range(1, n + 1)):
                 perm = Permutation(images)
                 got = inverse_outcome(perm)
+                assert got == inverse_outcome(perm, recompute_inverse)
                 if contains_pattern(perm, P321):
                     assert got == f"input contains a 321 pattern: {perm}"
                     rejected += 1
@@ -112,18 +144,40 @@ class TestInverse:
         p = pav.sample_uniform(n, substream(seed))
         assert bij321.inverse(bij321.forward(p)) == p
 
-    @given(st.integers(2, 300), st.integers(0, 10_000), st.data())
+    @given(st.integers(2, 10_000), st.integers(0, 10_000), st.data())
     @settings(max_examples=150, deadline=None)
     def test_near_avoiders_match_the_avoidance_test(self, n, seed, data):
         """One transposition of an image (of positions or of the adjacent
         values k, k+1) often keeps the exceedance runs well formed, so the
-        rejection falls to the final forward check."""
+        rejection falls to the remaining values."""
         perm = transposed(bij321.forward(pav.sample_uniform(n, substream(seed))), data)
         got = inverse_outcome(perm)
+        assert got == inverse_outcome(perm, recompute_inverse)
         if avoids_321(perm):
             assert bij321.forward(got) == perm
         else:
             assert got == f"input contains a 321 pattern: {perm}"
+
+    def test_each_certificate_clause_decides_a_case(self):
+        """Each permutation passes one clause of the certificate and fails
+        the other.  Without the failing clause, inverse would hand
+        from_runs a negative up-run (4 3 1 2: the exceedance values fall)
+        or accept a path that maps elsewhere (3 2 1: the remaining values
+        fall)."""
+        falling_exceedances = Permutation([4, 3, 1, 2])
+        assert certificate_clauses(falling_exceedances) == (False, True)
+        with pytest.raises(BadStep, match="nonnegative"):
+            from_runs(*exceedance_runs(falling_exceedances))
+
+        falling_rest = Permutation([3, 2, 1])
+        assert certificate_clauses(falling_rest) == (True, False)
+        path = from_runs(*exceedance_runs(falling_rest))
+        assert path == pav.from_text("UUDUDD") and bij321.forward(path) != falling_rest
+
+        for perm in (falling_exceedances, falling_rest):
+            with pytest.raises(Not321Avoiding):
+                recompute_inverse(perm)
+            assert inverse_outcome(perm) == inverse_outcome(perm, recompute_inverse)
 
 
 class TestExceedanceSign:

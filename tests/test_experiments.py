@@ -240,8 +240,9 @@ class TestCouplingMemory:
     def test_no_full_size_lattice_temporaries(self):
         """At n = 1e5 a lattice-sized float64 array is 1.5 MiB.  Measured
         peaks are 5.77 (321) and 4.46 MiB (231), reached before the sup,
-        in the forward map and scaled_function; full-lattice evaluation
-        peaked at 13.7 and 12.8 MiB."""
+        in the forward map and scaled_function.  With one block for the
+        whole lattice (LATTICE_BLOCK = 2**30) they are 8.40 and 4.46 MiB:
+        the 231 sweep covers too few lattice points for blocks to show."""
         path = pav.sample_uniform(100_000, substream(0))
         path.heights, pav.excursions(path)  # cached on the path beforehand
         b = se_set(path, 1.0, 0.4)
