@@ -4,9 +4,8 @@
 Forward rule: with run prefix sums A_i, D_i of the path, tau sends each
 D_i (i < m) to 1 + A_i and maps the remaining positions increasingly
 onto the remaining values.  D_m = n is deliberately excluded: tau(n)
-would otherwise be n+1.  The inverse accepts tau iff its exceedance
-values and its remaining values each increase: exactly when the path
-rebuilt from its runs maps back.
+would otherwise be n+1.  The inverse accepts exactly the 321-avoiders,
+by `perms.avoids_321`, and rebuilds the path from the exceedance runs.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import numpy as np
 
 from .dyck import DyckPath, from_runs, runs
 from .errors import Not321Avoiding
-from .perms import Permutation
+from .perms import Permutation, avoids_321
 from .petrov import below, check_petrov
 
 
@@ -38,19 +37,15 @@ def inverse(perm: Permutation) -> DyckPath:
     1 + A_1..1 + A_{m-1}, and A_m = D_m = n.  The rebuilt path maps back
     iff the exceedance values increase (else an up-run is negative) and
     the remaining values increase (forward sends the remaining positions
-    increasingly onto the remaining values).  Such a tau is two
-    increasing sequences, so it avoids 321 and from_runs accepts its
-    runs; any other input raises Not321Avoiding.
+    increasingly onto the remaining values): exactly when tau avoids 321
+    (`avoids_321`).  Any other input raises Not321Avoiding.
     """
+    if not avoids_321(perm):
+        raise Not321Avoiding(f"input contains a 321 pattern: {perm}")
     n, images = perm.n, perm.images
     exceeds = images > np.arange(1, n + 1)
-    d_set = np.flatnonzero(exceeds) + 1
-    # compress is several times faster than a boolean index on such masks
-    values, rest = np.compress(exceeds, images), np.compress(~exceeds, images)
-    if (values[1:] > values[:-1]).all() and (rest[1:] > rest[:-1]).all():
-        return from_runs(np.diff(values - 1, prepend=0, append=n),
-                         np.diff(d_set, prepend=0, append=n))
-    raise Not321Avoiding(f"input contains a 321 pattern: {perm}")
+    return from_runs(np.diff(np.compress(exceeds, images) - 1, prepend=0, append=n),
+                     np.diff(np.flatnonzero(exceeds) + 1, prepend=0, append=n))
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,8 @@ def coupling_bounds(path: DyckPath, petrov_report=None) -> CouplingReport:
     tau = forward(path).images
     gamma = path.heights
     idx = np.arange(1, n + 1, dtype=np.int64)
-    in_d = np.zeros(n + 1, dtype=bool)
-    in_d[rd.set_D()] = True
-    mask_d = in_d[1:]
     diff = tau - idx
+    mask_d = diff > 0  # the exceedances are D_1..D_{m-1}
 
     g2 = gamma[2 * idx]
     max_d = int(np.max(np.abs(diff[mask_d] - g2[mask_d]))) if mask_d.any() else 0

@@ -1,6 +1,9 @@
 """Permutations: pattern containment, exceedance process, interpolated
 exceedance functions, and scalar statistics (inversions, max deficit).
 
+Each pattern class has one membership rule: `avoids_321`, which
+`bij321.inverse` applies, and `bij231.inverse`, which `avoids_231` asks.
+
 Permutations are 1-indexed bijections on {1..n}; the text format is the
 space-separated image list, e.g. "2 1 6 3 10 4 5 7 8 9".  Integer lines
 (permutations, and the parent labels of `trees.OrderedTree`) are read by
@@ -13,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import IndexOutOfRange, integer, integers
+from .errors import IndexOutOfRange, Not231Avoiding, integer, integers
 from .scaled import ScaledFunction, sorted_unique
 
 
@@ -164,36 +167,31 @@ def contains_pattern(perm: Permutation, pattern: Permutation) -> bool:
 
 
 def avoids_321(perm: Permutation) -> bool:
-    """O(n) 321-avoidance test (longest decreasing subsequence <= 2).
+    """Whether perm avoids 321: its exceedance values (pi(i) > i)
+    increase, and so do its remaining values.  O(n).
 
-    A position is a candidate middle when some earlier value exceeds it;
-    the permutation contains 321 iff a later value drops below the
-    largest middle seen so far.
+    Two increasing sequences hold no 321.  If exceedance values fall,
+    pi(i) > pi(j) > j with i < j, a value below pi(j) lies right of j
+    (1..j holds at most j - 1 of them); if remaining values fall,
+    pi(j) < pi(i) <= i, a value above pi(i) lies left of i.
     """
-    v = perm.images
-    n = v.size
-    prefix_max = np.empty(n, dtype=np.int64)
-    prefix_max[0] = 0
-    np.maximum.accumulate(v[:-1], out=prefix_max[1:])
-    middle = v < prefix_max  # positions that can serve as the middle of a 321
-    mid_max = np.maximum.accumulate(np.where(middle, v, 0))
-    return not bool(np.any(v[1:] < mid_max[:-1]))
+    images = perm.images
+    exceeds = images > np.arange(1, perm.n + 1)
+    # compress is several times faster than a boolean index on such masks
+    values, rest = np.compress(exceeds, images), np.compress(~exceeds, images)
+    return bool((values[1:] > values[:-1]).all() and (rest[1:] > rest[:-1]).all())
 
 
 def avoids_231(perm: Permutation) -> bool:
-    """Single-stack scan: perm avoids 231 iff it is sortable by one stack.
-
-    Popped values (those with a later larger element) are exactly the
-    candidate '2's; any subsequent smaller value completes a 231.
+    """Whether perm avoids 231: the 231-avoiders are exactly the images
+    of the excursion bijection, so this asks whether `bij231.inverse`
+    accepts perm.  O(n).
     """
-    stack: list[int] = []
-    best = 0  # largest popped value so far
-    for x in perm.images.tolist():
-        if x < best:
-            return False
-        while stack and stack[-1] < x:
-            best = stack.pop()
-        stack.append(x)
+    from .bij231 import inverse  # it imports this module
+    try:
+        inverse(perm)
+    except Not231Avoiding:
+        return False
     return True
 
 

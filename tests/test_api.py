@@ -1,8 +1,9 @@
 """The public namespace: every name in pav.__all__ resolves, once, and
 every pav name the benchmark scripts use still exists.  The integer rule
 lives in one module, the experiment harness draws each replicate's path
-in one function, every error class is raised somewhere, and no inverse
-bijection re-runs a forward map."""
+in one function, every error class is raised somewhere, no inverse
+bijection re-runs a forward map, and each pattern class has one
+membership rule."""
 
 import ast
 import importlib
@@ -164,3 +165,16 @@ def test_inverses_certify_without_recomputing():
         # the walk sees the rebuild of the path
         assert "from_runs" in called
         assert sorted(called & {"forward", "excursions", "runs"}) == []
+
+
+def test_one_membership_rule_per_pattern_class():
+    assert ("inverse", "avoids_321") in calls(SRC / "bij321.py")
+    assert ("avoids_231", "inverse") in calls(SRC / "perms.py")
+    body = ast.parse((SRC / "perms.py").read_text()).body
+    rules = [top for top in body if isinstance(top, ast.FunctionDef)
+             and top.name in ("avoids_321", "avoids_231")]
+    assert len(rules) == 2
+    # neither rule scans the values itself
+    loops = [(rule.name, type(node).__name__) for rule in rules for node in ast.walk(rule)
+             if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert loops == []

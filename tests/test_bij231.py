@@ -12,14 +12,9 @@ import pav
 from pav import bij231, trees
 from pav.dyck import from_runs
 from pav.errors import IndexOutOfRange, InvalidPath, Not231Avoiding
-from pav.perms import (
-    Permutation,
-    avoids_231,
-    contains_pattern,
-    inversions,
-    max_deficit,
-)
+from pav.perms import Permutation, contains_pattern, inversions, max_deficit
 from pav.rng import substream
+from test_perms import stack_avoids_231, transposed
 from test_trees import contour_parents, depths_and_sizes
 
 P231 = Permutation([2, 3, 1])
@@ -51,7 +46,7 @@ def ancestry_tree(perm: Permutation) -> trees.OrderedTree:
 def tree_route_inverse(perm: Permutation) -> pav.DyckPath:
     """Oracle for bij231.inverse: the one-stack 231 test, then the contour
     of the ancestry tree (parent = nearest previous larger value)."""
-    if not avoids_231(perm):
+    if not stack_avoids_231(perm):
         raise Not231Avoiding(f"input contains a 231 pattern: {perm}")
     return trees.to_contour(ancestry_tree(perm))
 
@@ -86,20 +81,6 @@ def claimed_ends(perm: Permutation, path: pav.DyckPath):
     s_i + l_i of the excursion that perm claims it opens."""
     s = np.flatnonzero(path.steps == 1)
     return s, s + 2 * (perm.images - np.arange(1, perm.n + 1) + path.heights[s + 1])
-
-
-def transposed(perm: Permutation, data) -> Permutation:
-    """perm with two positions, or the adjacent values k and k+1, swapped
-    (drawn from hypothesis data)."""
-    images, n = perm.images.copy(), perm.n
-    if data.draw(st.booleans(), label="swap values"):
-        k = data.draw(st.integers(1, n - 1), label="k")
-        i, j = np.flatnonzero((images == k) | (images == k + 1))
-    else:
-        i = data.draw(st.integers(0, n - 1), label="i")
-        j = data.draw(st.integers(0, n - 1), label="j")
-    images[[i, j]] = images[[j, i]]
-    return Permutation(images)
 
 
 def inverse_outcome(inverse, perm: Permutation):

@@ -38,6 +38,45 @@ def random_perm(n, seed):
     return Permutation(substream(seed).permutation(n) + 1)
 
 
+def prefix_max_avoids_321(perm: Permutation) -> bool:
+    """Oracle for avoids_321: a position is a candidate middle when some
+    earlier value exceeds it; perm contains 321 iff a later value drops
+    below the largest middle seen so far."""
+    v = perm.images
+    prefix_max = np.maximum.accumulate(np.concatenate(([0], v[:-1])))
+    mid_max = np.maximum.accumulate(np.where(v < prefix_max, v, 0))
+    return not bool(np.any(v[1:] < mid_max[:-1]))
+
+
+def stack_avoids_231(perm: Permutation) -> bool:
+    """Oracle for avoids_231: perm avoids 231 iff one stack sorts it.  The
+    popped values (those with a later larger value) are the candidate
+    2s; any later smaller value completes a 231."""
+    stack: list[int] = []
+    best = 0  # largest popped value so far
+    for x in perm.images.tolist():
+        if x < best:
+            return False
+        while stack and stack[-1] < x:
+            best = stack.pop()
+        stack.append(x)
+    return True
+
+
+def transposed(perm: Permutation, data) -> Permutation:
+    """perm with two positions, or the adjacent values k and k+1, swapped
+    (drawn from hypothesis data)."""
+    images, n = perm.images.copy(), perm.n
+    if data.draw(st.booleans(), label="swap values"):
+        k = data.draw(st.integers(1, n - 1), label="k")
+        i, j = np.flatnonzero((images == k) | (images == k + 1))
+    else:
+        i = data.draw(st.integers(0, n - 1), label="i")
+        j = data.draw(st.integers(0, n - 1), label="j")
+    images[[i, j]] = images[[j, i]]
+    return Permutation(images)
+
+
 class TestPermutationType:
     def test_text_roundtrip(self):
         p = Permutation("2 1 6 3 10 4 5 7 8 9")
@@ -106,6 +145,29 @@ class TestPatterns:
                 perm = Permutation(images)
                 assert avoids_321(perm) == (not contains_pattern(perm, P321))
                 assert avoids_231(perm) == (not contains_pattern(perm, P231))
+
+    def test_rules_match_oracles_to_8(self):
+        for n in range(1, 9):
+            for images in permutations(range(1, n + 1)):
+                perm = Permutation(images)
+                assert avoids_321(perm) == prefix_max_avoids_321(perm)
+                assert avoids_231(perm) == stack_avoids_231(perm)
+
+    @pytest.mark.parametrize("rule, oracle, forward", [
+        (avoids_321, prefix_max_avoids_321, pav.bij321.forward),
+        (avoids_231, stack_avoids_231, pav.bij231.forward),
+    ])
+    @given(st.integers(2, 10_000), st.integers(0, 10_000), st.booleans(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rules_match_oracles_on_images(self, rule, oracle, forward, n, seed, swap, data):
+        """On images, and on images with one transposition (of positions
+        or of the adjacent values k, k+1): near misses, which uniformly
+        random permutations seldom are."""
+        perm = forward(pav.sample_uniform(n, substream(seed)))
+        if swap:
+            perm = transposed(perm, data)
+        assert rule(perm) == oracle(perm)
+        assert swap or rule(perm)
 
 
 class TestExceedance:
