@@ -21,7 +21,7 @@ from . import bij231, bij321, dyck, perms, trees
 from ._version import __version__
 from .errors import PavError
 from .experiments import ExperimentConfig, run_experiment
-from .petrov import check_petrov, check_voucher, petrov_frequency
+from .petrov import check_petrov, check_voucher
 from .rng import substream
 from .trees import expected_hat_xi, expected_xi, subtree_size_limit
 
@@ -122,8 +122,6 @@ def _cmd_expect(args) -> int:
         print(repr(subtree_size_limit(args.c, args.alpha)))
         return 0
     fn = expected_xi if args.quantity == "xi" else expected_hat_xi
-    if args.n is None or args.k is None:
-        raise DataError("--n and --k are required for xi / hat-xi")
     val = fn(args.n, args.k)
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:  # CPython converts at most 4,300 digits by default
@@ -137,12 +135,6 @@ def _cmd_expect(args) -> int:
 
 
 def _cmd_petrov(args) -> int:
-    if args.replicates is not None:
-        if args.n is None:
-            raise DataError("--n is required with --replicates")
-        out = petrov_frequency(args.n, args.replicates, args.seed, workers=args.threads)
-        print(json.dumps(out, sort_keys=True))
-        return 0
     for text in _inputs(args):
         path = _parse(dyck.DyckPath, text)
         report = check_petrov(path)
@@ -208,18 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("expect", help="exact expectation formulas")
-    p.add_argument("quantity", choices=("xi", "hat-xi", "limit"))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.5)
+    quantity = p.add_subparsers(dest="quantity", required=True)
+    for name in ("xi", "hat-xi"):
+        q = quantity.add_parser(name)
+        q.add_argument("--n", type=int, required=True)
+        q.add_argument("--k", type=int, required=True)
+    q = quantity.add_parser("limit")
+    q.add_argument("--c", type=float, default=1.0)
+    q.add_argument("--alpha", type=float, default=0.5)
     p.set_defaults(fn=_cmd_expect)
 
-    p = sub.add_parser("petrov", help="regularity conditions / frequency")
-    p.add_argument("--n", type=int)
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p = sub.add_parser("petrov", help="regularity conditions of each path as JSON lines")
     p.add_argument("input", nargs="*")
     p.set_defaults(fn=_cmd_petrov)
 

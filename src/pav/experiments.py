@@ -30,7 +30,7 @@ import numpy as np
 from . import bij231, bij321
 from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform
-from .errors import BadConfig, NotReconstructible, TooLarge, integer, integers, real
+from .errors import BadConfig, DomainError, NotReconstructible, TooLarge, integer, integers, real
 from .parallel import effective_workers, replicate_map
 from .perms import exceedance_sets, max_deficit, scaled_function
 from .petrov import check_petrov
@@ -205,22 +205,17 @@ def exact_moment_oracle(n: int) -> tuple[Fraction, Fraction]:
     semilength n, with unbounded integers.
 
     The area is the closed form E[sum_x gamma(x)] = (4^n - binom(2n+1, n))
-    / C_n; the maximum comes from exact strip counts N(h) = #paths
-    staying within [0, h], via double reflection, which must reach C_n
-    at h = n.  Guarded at n <= 256.
+    / C_n; the maximum sums its tails, E[max] = sum_{h<n} (C_n - N(h)) / C_n,
+    from exact strip counts N(h) = #paths staying within [0, h], via double
+    reflection, which must reach C_n at h = n.  Guarded at n <= 256.
     """
     n = integer(n, "n", lo=1)
     if n > ORACLE_LIMIT:
         raise TooLarge(f"n={n} exceeds oracle guard {ORACLE_LIMIT}")
     c_n = catalan(n)
-    prev = _paths_within(n, 0)
-    total_max = 0
-    for h in range(1, n + 1):
-        cur = _paths_within(n, h)
-        total_max += h * (cur - prev)
-        prev = cur
-    if prev != c_n:
-        raise NotReconstructible(f"strip counts reach {prev} paths, not C_{n}")
+    if (within := _paths_within(n, n)) != c_n:
+        raise NotReconstructible(f"strip counts reach {within} paths, not C_{n}")
+    total_max = sum(c_n - _paths_within(n, h) for h in range(n))
     e_area = Fraction(4**n - math.comb(2 * n + 1, n), c_n)
     return e_area, Fraction(total_max, c_n)
 
@@ -320,6 +315,13 @@ class ExperimentConfig:
             for size in grid:
                 if (k := int(c * size**alpha)) < 1:
                     raise BadConfig(f"threshold floor(c*n^alpha) = {k} < 1 at n={size}")
+                if self.theorem_id == "subtree" and k > size + 1:  # a tree has n + 1 vertices
+                    raise BadConfig(f"threshold floor(c*n^alpha) = {k} > n + 1 at n={size}")
+        if self.theorem_id == "subtree":  # the limit's own domain, which the run would refuse
+            try:
+                subtree_size_limit(c, alpha)
+            except DomainError as exc:
+                raise BadConfig(str(exc)) from exc
         for name, value in dict(n_grid=grid, replicates=replicates, seed=seed, **reals).items():
             object.__setattr__(self, name, value)  # the dataclass is frozen
 
@@ -377,7 +379,7 @@ def _subtree_rows(config: ExperimentConfig) -> list:
     rows = []
     limit = subtree_size_limit(config.c, config.alpha)
     for n in config.n_grid:
-        k = int(config.c * n**config.alpha)  # >= 1: validated
+        k = int(config.c * n**config.alpha)  # in 1..n + 1: validated
         ratio = float(expected_hat_xi(n, k)) / n ** (1.0 - config.alpha / 2.0)
         for stat, val in (
             ("hat_xi_ratio", ratio),

@@ -5,9 +5,11 @@ import io
 import itertools
 import json
 import resource
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from pav import bij231, dyck, perms, trees
 from pav.cli import main
+from pav.petrov import petrov_frequency
 from pav.rng import substream
 from pav.trees import EXACT_LIMIT, expected_hat_xi
 
@@ -254,25 +257,43 @@ class TestPetrovCmd:
         assert payload["all_hold"] is False
         assert "voucher" in payload
 
-    def test_frequency_mode(self, capsys):
-        code, out, _ = run_cli(
-            ["petrov", "--n", "100", "--replicates", "5", "--seed", "1"], capsys=capsys
-        )
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["frequency_all"] == 0.0
-
-    def test_bad_threads_exit_1(self, capsys):
-        code, out, err = run_cli(
-            ["petrov", "--n", "10", "--replicates", "2", "--threads", "0"], capsys=capsys
-        )
-        assert code == 1 and out == "" and err.startswith("error:")
-
     def test_pair_mode_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["petrov", "--pair-mode", "fast", "UDUDUD"])
         assert exc.value.code == 2
         assert "mode" not in run_cli(["petrov", "UUDD" * 17], capsys=capsys)[1]
+
+    def test_frequency_is_the_petrov_experiment(self, capsys):
+        """petrov_frequency's numbers are one `pav experiment` away."""
+        code, out, _ = run_cli(["experiment", "--theorem", "petrov", "--n-grid", "100",
+                                "--replicates", "5", "--seed", "1", "--no-timing"], capsys=capsys)
+        mean = {row["statistic"]: row["mean"] for row in json.loads(out)["results"]}
+        freq = petrov_frequency(100, 5, 1)
+        assert code == 0 and mean["all_hold"] == freq["frequency_all"] == 0.0
+        assert {k: 1.0 - mean[f"cond_{k}"] for k in "abcd"} == freq["failure_rate"]
+
+
+@pytest.mark.parametrize("args", [
+    *(["petrov", option, "2", "UDUD"] for option in ("--n", "--replicates", "--seed", "--threads")),
+    ["expect", "limit", "--n", "5"],
+    ["expect", "xi", "--n", "5", "--k", "2", "--c", "3"],
+    ["expect", "hat-xi", "--n", "5"],
+], ids=" ".join)
+def test_option_the_command_does_not_read_is_a_usage_error(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+
+
+class ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_pipe_exits_1_without_a_message(capsys):
+    with contextlib.redirect_stdout(ClosedPipe()):
+        code = main(["sample", "--n", "3", "--count", "2"])
+    assert (code, capsys.readouterr().err) == (1, "")
 
 
 class TestExperimentCmd:
@@ -482,3 +503,28 @@ def test_any_line_keeps_the_exit_contract(args, lines):
         lines = err.split("\n")  # the CLI ends lines with \n only
         assert lines.pop() == "" and lines, err
         assert all(line.startswith(allowed) for line in lines), err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_command_lines():
+    """The lines of the `sh` block under README's "## Command line", each
+    with its backslash continuations joined."""
+    block = README.read_text().split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1]
+    return block.split("\n```", 1)[0].replace("\\\n", "").splitlines()
+
+
+@pytest.mark.parametrize("line", readme_command_lines())
+def test_readme_command_line_runs(line, tmp_path, monkeypatch):
+    """Each `pav` command of the line exits 0, fed the stdout of the one
+    before it through a pipe; files it writes land in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    tokens = shlex.split(line, comments=True)
+    out = ""
+    for is_pipe, group in itertools.groupby(tokens, lambda token: token == "|"):
+        if not is_pipe:
+            program, *args = group
+            assert program == "pav"
+            code, out, err = run_lines(args, out.splitlines())
+            assert code == 0, err

@@ -382,6 +382,13 @@ class TestExactMomentOracle:
                 brute = sum(1 for p in paths if pav.max_height(p) <= h)
                 assert _paths_within(n, h) == brute
 
+    @pytest.mark.parametrize("n", [1, 2, 17, 100, 256])
+    def test_max_tail_sum_equals_the_telescoped_counts(self, n):
+        """sum_h h (N(h) - N(h-1)), the per-height sum, over C_n."""
+        counts = [_paths_within(n, h) for h in range(n + 1)]
+        total = sum(h * (counts[h] - counts[h - 1]) for h in range(1, n + 1))
+        assert exact_moment_oracle(n)[1] == Fraction(total, pav.catalan(n))
+
     def test_area_closed_form(self):
         # total area over all paths is 4^n - binom(2n+1, n)
         for n in (1, 5, 20, 64):
@@ -498,6 +505,18 @@ class TestHarness:
         with pytest.raises(BadConfig, match=r"floor\(c\*n\^alpha\) = -?\d+ < 1 at n=10"):
             ExperimentConfig(theorem_id=theorem, n_grid=(10,), replicates=1, seed=0,
                              c=c, alpha=alpha)
+
+    @pytest.mark.parametrize("c,alpha,message", [  # each once built, then its run raised
+        (1.0, 2.0, "threshold floor(c*n^alpha) = 10000 > n + 1 at n=100"),
+        (1.5, 0.99, "threshold floor(c*n^alpha) = 143 > n + 1 at n=100"),
+        (0.01, 2.0, "alpha must lie in (0, 1]"),
+        (1.01, 1.0, "alpha = 1 requires c <= 1"),
+    ])
+    def test_subtree_refuses_what_its_run_would(self, c, alpha, message):
+        with pytest.raises(BadConfig) as exc:
+            ExperimentConfig(theorem_id="subtree", n_grid=(100,), replicates=1, seed=0,
+                             c=c, alpha=alpha)
+        assert str(exc.value) == message
 
     def test_report_schema(self):
         cfg = ExperimentConfig(theorem_id="thm321", n_grid=(100,), replicates=3, seed=7)

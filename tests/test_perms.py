@@ -107,6 +107,12 @@ class TestPermutationType:
         a[0] = 5
         assert p.to_text() == "2 1 3"
 
+    def test_copies_a_permutation(self):
+        p = Permutation("2 3 1")
+        q = Permutation(p)
+        assert q == p and not np.shares_memory(q.images, p.images)
+        assert not q.images.flags.writeable
+
     def test_accepts_any_integer_dtype(self):
         for dtype in (np.int8, np.uint16, np.int32, np.uint64):
             assert Permutation(np.array([2, 3, 1], dtype=dtype)).to_text() == "2 3 1"

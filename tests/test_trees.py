@@ -388,6 +388,9 @@ class TestExpectedHatXi:
             exact = float(trees.expected_hat_xi(n, k))
             approx = trees.expected_hat_xi_float(n, k)
             assert abs(approx - exact) <= 1e-10 * exact
+        for k in (0, 102):
+            with pytest.raises(RangeError, match=f"k={k} outside 1..101"):
+                trees.expected_hat_xi_float(100, k)
 
 
 class TestSubtreeSizeLimit:
