@@ -20,7 +20,7 @@ import sys
 from . import bij231, bij321, dyck, perms, trees
 from ._version import __version__
 from .errors import PavError
-from .experiments import ExperimentConfig, run_experiment
+from .experiments import THEOREMS, ExperimentConfig, run_experiment
 from .petrov import check_petrov, check_voucher
 from .rng import substream
 from .trees import expected_hat_xi, expected_xi, subtree_size_limit
@@ -144,16 +144,25 @@ def _cmd_petrov(args) -> int:
     return 0
 
 
+# theorem id -> the real options its run reads; the other ids read none
+_READS = {"thm231": ("c", "alpha", "epsilon"), "random_index": ("c", "alpha"),
+          "subtree": ("c", "alpha")}
+
+
 def _cmd_experiment(args) -> int:
+    reals = {name: value for name in ("c", "alpha", "epsilon")
+             if (value := getattr(args, name)) is not None}  # the rest keep the config's defaults
+    unread = [name for name in reals if name not in _READS.get(args.theorem, ())]
+    if unread and args.theorem in THEOREMS:  # an unknown id is the config's error
+        args.parser.error(f"--theorem {args.theorem} reads no "
+                          + ", ".join(f"--{name}" for name in unread))
     config = ExperimentConfig(
         theorem_id=args.theorem,
         n_grid=tuple(args.n_grid),
         replicates=args.replicates,
         seed=args.seed,
-        c=args.c,
-        alpha=args.alpha,
-        epsilon=args.epsilon,
         keep_raw=args.keep_raw is not None,
+        **reals,
     )
     report = run_experiment(config, workers=args.threads)
     if args.keep_raw:  # first, so a CSV that cannot be written leaves stdout empty
@@ -219,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=int, nargs="+", required=True)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--alpha", type=float, default=0.4)
-    p.add_argument("--epsilon", type=float, default=0.05)
+    p.add_argument("--c", type=float, help="thm231, random_index and subtree only")
+    p.add_argument("--alpha", type=float, help="thm231, random_index and subtree only")
+    p.add_argument("--epsilon", type=float, help="thm231 only")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--keep-raw", type=str, default=None, metavar="CSV")
     p.add_argument("--threads", type=int, default=None)
     p.add_argument("--no-timing", action="store_true")
-    p.set_defaults(fn=_cmd_experiment)
+    p.set_defaults(fn=_cmd_experiment, parser=p)
 
     return parser
 

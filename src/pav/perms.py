@@ -7,7 +7,8 @@ Each pattern class has one membership rule: `avoids_321`, which
 Permutations are 1-indexed bijections on {1..n}; the text format is the
 space-separated image list, e.g. "2 1 6 3 10 4 5 7 8 9".  Integer lines
 (permutations, and the parent labels of `trees.OrderedTree`) are read by
-`ints_from_text` and printed by `ints_to_text`.
+`ints_from_text`, eight digits of every token per pass, and printed by
+`ints_to_text` from rows of digits whose leading zeros are NUL bytes.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .scaled import ScaledFunction, sorted_unique
 # read the same whichever way a line is converted.
 _TOO_LARGE = "Python int too large to convert to C long"
 
+# _LAST[k] keeps the low nibble of the last k bytes of a little-endian
+# 8-byte window: the values of its last k digits, k = 0..8.
+_LAST = np.array([(2**64 - 2 ** (64 - 8 * k)) & 0x0F0F0F0F0F0F0F0F for k in range(9)],
+                 dtype=np.uint64)
+
 
 def ints_from_text(text: str) -> np.ndarray:
     """The int64 values of a line of ASCII digits separated by spaces or
@@ -31,29 +37,52 @@ def ints_from_text(text: str) -> np.ndarray:
     or separator) raises ValueError; a value beyond int64, OverflowError.
     Leading zeros are allowed at any length.
 
-    Token bounds come from one digit mask over the line's bytes, and the
-    values from Horner's rule over the last 19 places of every token.
+    Token bounds come from one digit mask over the line's bytes.  The last
+    19 places of every token are read as up to three little-endian 8-byte
+    windows ending at its last digit, each gathered for all tokens by one
+    index into an unaligned view of every window of the line.  A mask per
+    window keeps the token's own digits, and three multiply-shift steps
+    join its eight (pairs, then quads, then the eight), so the number of
+    whole-array passes grows with the windows, not with the places.
     """
-    if not text.isascii() or text.encode().translate(None, b"0123456789 \t"):
+    data = text.encode()
+    if not text.isascii() or data.translate(None, b"0123456789 \t"):
         raise ValueError("expected ASCII digits separated by spaces or tabs")
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    digit = np.concatenate(([False], raw >= ord("0"), [False]))
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digit = np.zeros(raw.size + 2, dtype=bool)  # with a non-digit at either end
+    np.greater_equal(raw, ord("0"), out=digit[1:-1])
     edges = np.flatnonzero(digit[1:] != digit[:-1])
     start, end = edges[0::2], edges[1::2]
     size = end - start
-    # 10**19 > 2**63: a nonzero digit 20 or more places from the end overflows
-    long = size > 19
-    if long.any():
+    top = int(size.max(initial=1))
+    if top > 19:  # 10**19 > 2**63: a nonzero digit 20 or more places from the end overflows
+        long = size > 19
         head = np.column_stack((start[long], end[long] - 19)).ravel()
         if np.logical_or.reduceat(raw > ord("0"), head)[::2].any():
             raise OverflowError(_TOO_LARGE)
-    vals = np.zeros(size.size, dtype=np.uint64)  # 19 digits fit in uint64
-    for k in range(min(int(size.max(initial=0)), 19), 0, -1):
-        d = raw.take(end - k)  # never below -len(raw); masked where k > size
-        d -= ord("0")
-        d *= size >= k
-        vals *= 10
-        vals += d
+    windows = -(-min(top, 19) // 8)
+    at = end + (24 - 8 * windows)  # where each token's most significant window starts
+    size -= 8 * (windows - 1)  # the token's digits in that window, before clipping to 0..8
+    # freed first: under this heap peak malloc keeps its pages mapped from
+    # call to call, instead of trimming them and faulting them back in
+    del digit, edges, start, end
+    # every 8-byte window of the line behind 24 zero bytes; the one ending
+    # 8j bytes before a token's end starts at byte end + 16 - 8j
+    line = np.ndarray((raw.size + 17,), dtype="<u8", buffer=bytes(24) + data, strides=(1,))
+    for j in range(windows):  # below 10**19 < 2**64: places from 20 on hold 0
+        w = line[at]  # indexed, not taken: take would copy every window first
+        w &= _LAST.take(size, mode="clip")
+        w *= 10 << 8 | 1  # 10 a + b of each byte pair, in its high byte
+        w >>= 8
+        w &= 0x00FF00FF00FF00FF
+        w *= 100 << 16 | 1  # 100 a + b of each pair of 16-bit lanes, in the high lane
+        w >>= 16
+        w &= 0x0000FFFF0000FFFF
+        w *= 10000 << 32 | 1  # 10**4 a + b of the two 32-bit halves, in the high one
+        w >>= 32
+        vals = vals * 10**8 + w if j else w
+        at += 8
+        size += 8
     if vals.max(initial=0) > np.iinfo(np.int64).max:
         raise OverflowError(_TOO_LARGE)
     return vals.astype(np.int64)
@@ -61,30 +90,32 @@ def ints_from_text(text: str) -> np.ndarray:
 
 def ints_to_text(values) -> str:
     """The line of nonnegative integers that `ints_from_text` reads back:
-    decimal, no leading zeros, one space between values.
+    decimal, no leading zeros, one space between values.  A value below 0
+    or above 2**63 - 1 raises ValueError.
 
     Row i of a (count, width + 1) byte array holds a space and then the
-    digits of values[i], filled by repeated division by 10; one mask
-    keeps the space and the digits from the leading one on, and the kept
-    bytes are decoded once.
+    digits of values[i], written by repeated division by 10 in uint32
+    (uint64 from width 10); a leading zero is written as NUL, as is the
+    first row's space, and one `bytes.translate` drops every NUL.
     """
     x = integers(values, "values")
     if x.size == 0:
         return ""
     if x.min() < 0:
         raise ValueError(f"values must be nonnegative, not {x.min()}")
-    width = len(str(int(x.max())))
-    cols = np.empty((x.size, width + 1), dtype=np.uint8)
-    keep = np.empty((x.size, width + 1), dtype=bool)
-    cols[:, 0] = ord(" ")
-    keep[:, 0] = True
-    for j in range(width, 0, -1):
-        keep[:, j] = x > 0  # False left of the leading digit
-        q = x // 10
-        cols[:, j] = x - 10 * q + ord("0")
-        x = q
-    keep[:, width] = True  # the units digit, of 0 too
-    return cols[keep][1:].tobytes().decode()
+    top = int(x.max())
+    if top > np.iinfo(np.int64).max:
+        raise ValueError(f"values must be at most 2**63 - 1, not {top}")
+    width = len(str(top))
+    x = x.astype(np.uint32 if width < 10 else np.uint64)
+    rows = np.full((x.size, width + 1), ord(" "), dtype=np.uint8)
+    rows[0, 0] = 0  # no space before the first value
+    q = x // 10
+    rows[:, width] = x - 10 * q + ord("0")  # the units digit, of 0 too
+    for j in range(width - 1, 0, -1):  # NUL left of the leading digit
+        x, q = q, q // 10
+        np.multiply(x - 10 * q + ord("0"), x > 0, out=rows[:, j], casting="unsafe")
+    return rows.tobytes().translate(None, b"\0").decode()
 
 
 class Permutation:

@@ -1,6 +1,7 @@
 """Command-line surface: formats, exit codes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pav import bij231, dyck, perms, trees
+from pav import bij231, cli, dyck, perms, trees
 from pav.cli import main
+from pav.experiments import THEOREMS, ExperimentConfig, run_experiment
 from pav.petrov import petrov_frequency
 from pav.rng import substream
 from pav.trees import EXACT_LIMIT, expected_hat_xi
@@ -278,6 +280,10 @@ class TestPetrovCmd:
     ["expect", "limit", "--n", "5"],
     ["expect", "xi", "--n", "5", "--k", "2", "--c", "3"],
     ["expect", "hat-xi", "--n", "5"],
+    *(["experiment", "--theorem", theorem, "--n-grid", "10", "--replicates", "3", option, value]
+      for theorem, option, value in (("height", "--c", "5"), ("thm321", "--alpha", "0.3"),
+                                     ("random_index", "--epsilon", "0.1"),
+                                     ("moments", "--epsilon", "0.1"))),
 ], ids=" ".join)
 def test_option_the_command_does_not_read_is_a_usage_error(capsys, args):
     with pytest.raises(SystemExit) as exc:
@@ -338,7 +344,7 @@ class TestExperimentCmd:
         ("thm231", "c", "nan"),
         ("random_index", "c", "inf"),
         ("thm231", "alpha", "nan"),
-        ("thm321", "epsilon", "-inf"),
+        ("thm231", "epsilon", "-inf"),
     ])
     def test_non_finite_real_exit_1(self, capsys, theorem, name, value):
         code, out, err = run_cli(
@@ -368,6 +374,33 @@ class TestExperimentCmd:
             ["experiment", "--theorem", "random_index", "--n-grid", "10", real], capsys=capsys
         )
         assert (code, out) == (1, "") and err.startswith("error: threshold floor(c*n^alpha)")
+
+    def test_reals_reach_the_config(self, capsys):
+        code, out, _ = run_cli(
+            ["experiment", "--theorem", "thm231", "--n-grid", "10", "20", "--replicates", "3",
+             "--seed", "4", "--c", "0.5", "--alpha", "0.3", "--epsilon", "0.1", "--no-timing"],
+            capsys=capsys,
+        )
+        config = ExperimentConfig("thm231", (10, 20), 3, 4, c=0.5, alpha=0.3, epsilon=0.1)
+        assert (code, out) == (0, run_experiment(config).to_json(include_timing=False) + "\n")
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_omitted_reals_keep_the_config_defaults(self, capsys, theorem):
+        code, out, _ = run_cli(["experiment", "--theorem", theorem, "--n-grid", "10",
+                                "--replicates", "2", "--no-timing"], capsys=capsys)
+        config = ExperimentConfig(theorem, (10,), 2, 0)
+        assert (code, out) == (0, run_experiment(config).to_json(include_timing=False) + "\n")
+        assert {k: json.loads(out)["config"][k] for k in ("c", "alpha", "epsilon")} == {
+            "c": 1.0, "alpha": 0.4, "epsilon": 0.05}
+
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_a_real_the_cli_refuses_moves_no_result(self, theorem):
+        """The options an id refuses are the ones its run does not read."""
+        base = ExperimentConfig(theorem, (10, 12), 2, 3)
+        want = run_experiment(base).results
+        for name in {"c", "alpha", "epsilon"} - set(cli._READS.get(theorem, ())):
+            moved = dataclasses.replace(base, **{name: getattr(base, name) - 0.5})
+            assert run_experiment(moved).results == want, name
 
     def test_bad_theorem_exit_1(self, capsys):
         code, _, err = run_cli(

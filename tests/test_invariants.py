@@ -55,6 +55,7 @@ expect_raise("oracle path count", lambda: experiments.exact_moment_oracle(3))
 # The integer-line parser's checks and the integer rule (scaled_function's
 # index set, from_runs' run lengths) are plain raises too.
 expect_raise("int64 overflow", lambda: ints_from_text("9223372036854775808"), OverflowError)
+expect_raise("19-digit overflow", lambda: ints_from_text("9999999999999999999"), OverflowError)
 expect_raise("non-ASCII digit", lambda: ints_from_text("1 \uff12"), ValueError)
 expect_raise("float index set", lambda: scaled_function(pav.Permutation([1, 2]), [1.5]), ValueError)
 expect_raise("float run lengths", lambda: dyck.from_runs([2.7], [2.2]), BadStep)

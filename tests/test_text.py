@@ -156,6 +156,56 @@ class TestIntLine:
         for bad in ([3, -1], [1.0], [[1]]):
             with pytest.raises(ValueError):
                 ints_to_text(bad)
+        for top in (2**63, 2**64 - 1):  # lines that ints_from_text refuses
+            with pytest.raises(ValueError, match=str(top)):
+                ints_to_text(np.array([top, 3], dtype=np.uint64))
+
+
+def digit_runs(width):
+    """Tokens of `width` characters: the largest and smallest with `width`
+    significant digits, one drawn at random, and the same values behind
+    leading zeros."""
+    pick = np.random.default_rng(width)
+    out = ["9" * width, "1" + "0" * (width - 1), "".join(map(str, pick.integers(0, 10, width)))]
+    for lead in (1, width // 2, width - 1):
+        if 0 < lead < width:
+            out.append("0" * lead + out[0][lead:])
+            out.append("0" * lead + out[2][lead:])
+    return out
+
+
+class TestIntLineWindows:
+    """Tokens against the 8-byte windows the parser reads: a window of the
+    first token reaches into the padding before the line, and one after a
+    short run of separators spans them and the token before."""
+
+    @pytest.mark.parametrize("width", range(1, 26))
+    def test_every_width_first_and_after_separators(self, width):
+        before = ("7", "12345678901234567")
+        for token in digit_runs(width):
+            texts = [token, token + " 5"]
+            for run in range(1, 11):
+                for sep in (" " * run, "\t" * run, (" \t" * run)[:run]):
+                    texts += [prev + sep + token for prev in before]
+            for text in texts:
+                assert outcome(ints_from_text, text) == outcome(ints_oracle, text), text
+
+    @pytest.mark.parametrize("value", [
+        *(10**k + d for k in range(1, 19) for d in (-1, 0)),
+        2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64,
+    ])
+    def test_powers_alone_and_in_a_line(self, value):
+        for text in (str(value), f"3 {value}", f"{value} 3", f"12\t\t{value} 0{value} 1"):
+            assert outcome(ints_from_text, text) == outcome(ints_oracle, text), text
+
+    @pytest.mark.parametrize("digits", range(1, 20))
+    def test_format_at_every_digit_count(self, digits):
+        pick = np.random.default_rng(digits)
+        low, high = 10 ** (digits - 1), min(10**digits - 1, 2**63 - 1)
+        values = [low, high, *pick.integers(low, high, 20, endpoint=True), 0, 7, 2**32 - 1]
+        values = [v for v in values if v <= high]  # the widest value sets the row width
+        assert ints_to_text(values) == " ".join(map(str, values))
+        assert ints_from_text(ints_to_text(values)).tolist() == values
 
 
 DIGIT_BOUNDARIES = (9, 10, 99, 100, 9999, 10000, 100000)
@@ -183,6 +233,12 @@ class TestPermText:
         perm = Permutation(substream(n).permutation(n) + 1)
         assert perm.to_text().encode() == perm_to_text_oracle(perm).encode()
         assert Permutation(perm.to_text()) == perm
+
+    def test_six_digit_images(self):
+        perm = Permutation(substream(6).permutation(10**5) + 1)
+        text = perm_to_text_oracle(perm)
+        assert perm.to_text().encode() == text.encode()
+        assert Permutation(text) == perm_from_text_oracle(text) == perm
 
 
 class TestTreeText:
@@ -213,6 +269,14 @@ class TestTreeText:
             text = cli._from_path("tree", path)
             assert text.encode() == tree_to_text_oracle(path).encode()
             assert trees.to_contour(parse_tree(text)) == path
+
+    def test_six_digit_labels(self):
+        path = pav.sample_uniform(10**5, substream(5))
+        text = cli._from_path("tree", path)
+        assert text.encode() == tree_to_text_oracle(path).encode()
+        tree = trees.OrderedTree(text)
+        assert outcome(parse_tree, text) == outcome(tree_from_text_oracle, text)
+        assert tree.to_text() == text and trees.to_contour(tree) == path
 
     def test_one_vertex_tree(self):
         tree = trees.OrderedTree("")
