@@ -5,14 +5,15 @@ Each replicate is a pure function of (master seed, n, replicate index),
 so reports are bitwise reproducible at any worker count.  Sup distances
 between the scaled path and the interpolated exceedance functions are
 exact maxima over the lattice x/(2n), which holds every knot of both.
-A segment between exceedance knots is swept, with its end knots and in
-cache-sized blocks, only if a bound on its values reaches the largest
-value at a knot, so the result is the whole sweep's bit for bit.  Exact
-targets come from closed forms: the moment oracle's E[sum_x gamma(x)] =
-(4^n - binom(2n+1, n)) / C_n, and the subtree theorem's E[hat_xi_k] =
-k (2n+3-2k) T_k / (2 (n+1) C_n) - 1/2 with T_k = C_{k-1}
-binom(2(n+1-k), n+1-k), its tail sum telescoped.  Limit constants enter
-only through the acceptance tests.
+They are computed from the integer knots (a, E(a)) of the forward
+map's image (perms._knots), with no ScaledFunction: a run of the lattice
+is swept, in cache-sized blocks, only if an integer bound on its values
+in units of 1/sqrt(2n) reaches the best, so the result is the whole
+sweep's bit for bit.  Exact targets come from closed forms: the moment
+oracle's E[sum_x gamma(x)] = (4^n - binom(2n+1, n)) / C_n, and the
+subtree theorem's E[hat_xi_k] = k (2n+3-2k) T_k / (2 (n+1) C_n) - 1/2
+with T_k = C_{k-1} binom(2(n+1-k), n+1-k), its tail sum telescoped.
+Limit constants enter only through the acceptance tests.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from ._version import __version__
 from .dyck import DyckPath, excursions, max_height, sample_uniform
 from .errors import BadConfig, DomainError, NotReconstructible, TooLarge, integer, integers, real
 from .parallel import effective_workers, replicate_map
-from .perms import exceedance_sets, max_deficit, scaled_function
+from .perms import _knots, exceedance_process, max_deficit
 from .petrov import check_petrov
 from .rng import as_generator, substream
 from .scaled import ScaledFunction, sorted_unique
@@ -43,61 +44,118 @@ from .trees import catalan, expected_hat_xi, subtree_size_limit
 # pathwise statistics
 
 
-# Lattice points per block of the coupling sweeps.  At n = 1e5 the candidate
-# runs of d_plus and d_minus cover a median of 51 and 42 of the 200,001 points,
-# so the blocks bound the mirror sweep over all n + 1 points a/n: coupling_321's
-# traced peak is 5.77 MiB, the forward map's (2**16: 6.82, unblocked: 8.40).
+# Lattice points per block of the coupling sweeps: the sparse index sets of
+# random_index leave long candidate runs, up to all 2n + 1 points.
 LATTICE_BLOCK = 1 << 14
 
 
-def _sweep_runs(path: DyckPath, f: ScaledFunction, op) -> list:
-    """The lattice runs [start, stop), in order, that hold the maximum over
-    x = 0..2n of |op(G, f)| at x/(2n), op np.add or np.subtract: the maximal
-    runs of consecutive candidate segments of f, each with its end knots.
+def _sweep_runs(path: DyckPath, t: np.ndarray, e: np.ndarray, op):
+    """(starts, stops) of the lattice runs [start, stop), in order, that
+    hold the maximum over x = 0..2n of |op(G, f)| at x/(2n), op np.add or
+    np.subtract and f through the knots (t/n, e/sqrt(2n)) (perms._knots):
+    the maximal runs of consecutive candidate segments of f, each with its
+    end knots.
 
-    In units of 1/sqrt(2n), f's ordinates are exceedances E, |E| <= n:
-    E = rint(y sqrt(2n)) must give y back bit for bit (else
-    NotReconstructible).  A +-1 walk strays at most L/2 steps from its chord
-    over L steps, so the integer max(d0, d1) + L // 2 bounds a segment of L
-    lattice steps, d = |op(gamma, E)| at its knots; it is a candidate iff
-    that reaches max(d).  A swept value lies within 32 * 2**-53 * n units of
-    the exact one, under 1/2 for n < 2**47: the knot attaining max(d) ends a
-    candidate, so a run holds it, and it sweeps above every point outside.
+    In units of 1/sqrt(2n) the knot values d = |op(gamma(2a), E(a))| are
+    integers.  A +-1 walk strays at most L/2 steps from its chord over L
+    steps, so the integer max(d0, d1) + L // 2 bounds a segment of L
+    lattice steps; it is a candidate iff that reaches max(d).  A swept value
+    lies within 32 * 2**-53 * n units of the exact one, under 1/2 for
+    n < 2**47 (test_sups_within_the_error_bound_of_the_exact_sups): the knot
+    attaining max(d) ends a candidate, so a run holds it, and it sweeps
+    above every point outside.
     """
-    den = 2 * path.n
-    scale = np.sqrt(den)
-    e = np.rint(f.y * scale)
-    if not np.array_equal(e / scale, f.y):
-        raise NotReconstructible("ordinates are not integers over sqrt(2n)")
-    x = f.t_num * (den // f.t_den)
-    d = np.abs(op(path.heights[x], e, out=e), out=e)
+    d = op(path.heights[::2][t], e)
+    np.abs(d, out=d)
     bound = np.maximum(d[:-1], d[1:])
-    bound += np.diff(x) >> 1  # L // 2
-    edge = x[np.flatnonzero(np.diff(bound >= d.max(), prepend=False, append=False))]
-    return list(zip(edge[::2].tolist(), (edge[1::2] + 1).tolist()))
+    bound += t[1:]  # L // 2 = a1 - a0
+    bound -= t[:-1]
+    edge = 2 * t[np.flatnonzero(np.diff(bound >= d.max(), prepend=False, append=False))]
+    return edge[::2], edge[1::2] + 1
 
 
-def _sweep(den: int, runs, f: ScaledFunction, g, op) -> float:
-    """max |op(g, f)| at x/den over x in the lattice runs [start, stop), in
-    blocks of at most LATTICE_BLOCK points; g(lo, hi) gives the other
-    function's values on the block [lo, hi), a fresh array op overwrites."""
+def _mirror_runs(e: np.ndarray):
+    """(starts, stops) of the runs [start, stop) of 0..n, in order, that
+    hold the maximum of |F_plus + F_minus| at a/n, e = E(0..n) the
+    exceedances of a 321-avoiding permutation.
+
+    Every a is a knot of F_plus (E(a) >= 0) or of F_minus (E(a) <= 0), so
+    both are knots where E(a) = 0, and the sum is 0 there.  A maximal run
+    of E > 0 lies inside one segment of F_minus, a run of E < 0 inside one
+    of F_plus (a run through n ends on F_plus' anchor (n, 0)), and on a
+    321-avoider E never falls along such a run: its exceedance values
+    increase, and so do its other values (perms.avoids_321).  So, with c0
+    and c1 the other function's end values and E running from e0 to e1,
+    the sum lies in [min(c) + e0, max(c) + e1] on the run: |sum| is at most
+    max(max(c) + e1, -min(c) - e0) there, at least min(c) + e1 at its last
+    point and at least -max(c) - e0 at its first.  A run is a candidate iff
+    its upper bound reaches the largest lower bound; all are integers in
+    units of 1/sqrt(2n), so by _sweep_runs' error bound the sweep finds the
+    whole sweep's maximum.  A fall along a run, which no 321-avoider has,
+    raises NotReconstructible.
+    """
+    sign = (e > 0).view(np.int8)
+    sign -= e < 0
+    cut = np.ones(e.size + 1, dtype=bool)  # runs start at 0 and at each change of sign
+    np.not_equal(sign[1:], sign[:-1], out=cut[1:-1])
+    falls = e[1:] < e[:-1]
+    if np.greater(falls, cut[1:-1], out=falls).any():
+        raise NotReconstructible("exceedances fall along a run of one sign: the image holds a 321")
+    edge = np.flatnonzero(cut)  # run j is [edge[j], edge[j + 1])
+    del sign, cut, falls
+    # first: E at each run's first point, then F_plus' anchor value 0 at n + 1;
+    # last: 0, then E at each run's last point.  A run's c0 is the previous
+    # run's last value and its c1 the next run's first.
+    first, last = np.zeros(edge.size, dtype=np.int64), np.zeros(edge.size, dtype=np.int64)
+    np.take(e, edge[:-1], out=first[:-1], mode="clip")  # in range: unbuffered
+    np.take(e, edge[1:] - 1, out=last[1:], mode="clip")
+    zero = np.flatnonzero(first[:-1] == 0)  # the runs of E = 0, the one at 0 among them
+    e0, c1, c0, e1 = first[:-1], first[1:], last[:-1], last[1:]
+    lo, hi = np.minimum(c0, c1), np.maximum(c0, c1)  # c0 and c1 are spent
+    lower = lo + e1
+    lo += e0
+    np.negative(np.add(hi, e0, out=e0), out=e0)
+    np.maximum(lower, e0, out=lower)  # max(lo + e1, -(hi + e0))
+    lower[zero] = 0  # the sum is 0 on them
+    upper = np.add(hi, e1, out=hi)
+    np.maximum(upper, np.negative(lo, out=lo), out=upper)  # max(hi + e1, -(lo + e0))
+    keep = upper >= lower.max()
+    keep[zero] = False
+    return edge[:-1][keep], edge[1:][keep]
+
+
+def _sweep(runs, knots, m: int, scale, exact, op) -> float:
+    """max |op(exact(x), f(x))| over the lattice points x of the runs
+    (starts, stops), f the interpolation through the knots (t, e) at
+    (m t, e / scale) on that lattice, in blocks of at most LATTICE_BLOCK
+    points; exact(x) gives the other function's values at the int64 x."""
+    (starts, stops), (t, e) = runs, knots
+    ends = np.cumsum(stops - starts)  # the runs' points, laid end to end
+    shift = stops - ends  # from a point's place in that row to its x
+    total = int(ends[-1]) if ends.size else 0
+    inner = t[1:-1]
     best = 0.0
-    for start, stop in runs:
-        for lo in range(start, stop, LATTICE_BLOCK):
-            hi = min(lo + LATTICE_BLOCK, stop)
-            v = g(lo, hi)
-            op(v, f.eval_lattice(den, lo, hi), out=v)
-            best = max(best, np.abs(v, out=v).max())
+    for lo in range(0, total, LATTICE_BLOCK):
+        at = np.arange(lo, min(lo + LATTICE_BLOCK, total))
+        x = at + shift[np.searchsorted(ends, at, side="right")]
+        # a point's segment: the count of interior knots at or before it
+        idx = np.searchsorted(inner, x // m, side="right")
+        first, last = idx[0], idx[-1]
+        idx -= first
+        f = ScaledFunction._interpolate(m * t[first:last + 2], e[first:last + 2] / scale, idx,
+                                        x.astype(np.float64))
+        v = op(exact(x), f, out=f)
+        best = max(best, np.abs(v, out=v).max())
     return float(best)
 
 
-def _lattice_sup(path: DyckPath, f: ScaledFunction, op) -> float:
-    """max over x = 0..2n of |op(G, f)| at x/(2n), G = heights / sqrt(2n):
-    a whole sweep's bits, from a sweep of the runs that can hold it."""
-    den = 2 * path.n
-    scale = np.sqrt(den)
-    return _sweep(den, _sweep_runs(path, f, op), f,
-                  lambda lo, hi: path.heights[lo:hi] / scale, op)
+def _lattice_sup(path: DyckPath, t: np.ndarray, e: np.ndarray, op) -> float:
+    """max over x = 0..2n of |op(G, f)| at x/(2n), G = heights / sqrt(2n)
+    and f through the knots (t/n, e/sqrt(2n)): a whole sweep's bits, from
+    a sweep of the runs that can hold it."""
+    scale = np.sqrt(2 * path.n)
+    return _sweep(_sweep_runs(path, t, e, op), (t, e), 2, scale,
+                  lambda x: path.heights[x] / scale, op)
 
 
 def coupling_321(path: DyckPath) -> tuple[float, float, float]:
@@ -115,14 +173,21 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     only the runs of segments, with their end knots, whose integer bound
     in units of 1/sqrt(2n) reaches the largest knot value (_sweep_runs).
     F_plus + F_minus has its knots at the even points x = 2a, the union
-    grid of that pair; it is swept at a/n, whose values are those at
-    2a/(2n) bit for bit, since 2p/2q == p/q in IEEE arithmetic.
+    grid of that pair, so its sup is a maximum over a/n (2p/2q == p/q in
+    IEEE arithmetic); there one of the pair takes its ordinate, and only
+    the runs whose integer bound reaches the best are swept (_mirror_runs).
     """
     tau = bij321.forward(path)
-    n = path.n
-    f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-    return (_lattice_sup(path, f_plus, np.subtract), _lattice_sup(path, f_minus, np.add),
-            _sweep(n, [(0, n + 1)], f_minus, functools.partial(f_plus.eval_lattice, n), np.add))
+    e = exceedance_process(tau)
+    starts, stops = _mirror_runs(e)  # before the knots: its temporaries peak beside tau alone
+    plus, minus = _knots(tau, np.flatnonzero(e >= 0)), _knots(tau, np.flatnonzero(e <= 0))
+    del tau
+    scale = np.sqrt(2 * path.n)
+    below = e[starts] < 0  # inside a segment of F_plus
+    mirror = max(_sweep(runs, knots, 1, scale, lambda a: e[a] / scale, np.add)
+                 for runs, knots in (((starts[below], stops[below]), plus),
+                                     ((starts[~below], stops[~below]), minus)))
+    return (_lattice_sup(path, *plus, np.subtract), _lattice_sup(path, *minus, np.add), mirror)
 
 
 def se_set(path: DyckPath, c: float, alpha: float) -> np.ndarray:
@@ -157,7 +222,7 @@ def coupling_231(path: DyckPath, index_set) -> float:
     1/sqrt(2n) reaches the largest knot value (_sweep_runs); the empty
     set's one segment is the whole lattice.
     """
-    return _lattice_sup(path, scaled_function(bij231.forward(path), index_set), np.add)
+    return _lattice_sup(path, *_knots(bij231.forward(path), index_set), np.add)
 
 
 def random_index_set(n: int, count: int, seed) -> np.ndarray:

@@ -234,10 +234,8 @@ def exceedance(perm: Permutation, i: int) -> int:
 
 def exceedance_process(perm: Permutation) -> np.ndarray:
     """The full vector (E(0), E(1), ..., E(n))."""
-    n = perm.n
-    out = np.empty(n + 1, dtype=np.int64)
-    out[0] = 0
-    out[1:] = perm.images - np.arange(1, n + 1)
+    out = np.arange(0, -perm.n - 1, -1, dtype=np.int64)  # -i, then pi(i) added
+    out[1:] += perm.images
     return out
 
 
@@ -250,6 +248,31 @@ def exceedance_sets(perm: Permutation) -> tuple[np.ndarray, np.ndarray]:
     return np.flatnonzero(e >= 0), np.flatnonzero(e <= 0)
 
 
+def _knots(perm: Permutation, indices) -> tuple[np.ndarray, np.ndarray]:
+    """The knots of scaled_function(perm, indices) in integers: abscissae a,
+    strictly increasing from 0 to n, and values E(a) = pi(a) - a.
+
+    Anchor knots (0, 0) and (n, 0) stand in for 0 and n when absent (E(0)
+    is 0 anyway); an empty index set gives the knots of the zero function.
+    Indices that are not a 1-d integer sequence raise ValueError, and any
+    outside 0..n raises IndexOutOfRange.
+    """
+    n = perm.n
+    a = sorted_unique(integers(indices, "indices").astype(np.int64, copy=False))
+    if a.size and (a[0] < 0 or a[-1] > n):
+        raise IndexOutOfRange("indices must lie in 0..n")
+    if a.size and a[0] == 0:
+        a = a[1:]  # E(0) = 0 is the anchor knot
+    m = a.size
+    t = np.zeros(m + 1 if m and a[-1] == n else m + 2, dtype=np.int64)
+    e = np.zeros_like(t)
+    t[1:m + 1] = a
+    t[-1] = n
+    np.take(perm.images, a - 1, out=e[1:m + 1], mode="clip")  # in range: unbuffered
+    e[1:m + 1] -= a
+    return t, e
+
+
 def scaled_function(perm: Permutation, indices) -> ScaledFunction:
     """Linear interpolation through {(a/n, E(a)/sqrt(2n)) : a in indices}.
 
@@ -258,17 +281,8 @@ def scaled_function(perm: Permutation, indices) -> ScaledFunction:
     limit object; an empty index set gives the zero function.  Indices
     that are not a 1-d integer sequence raise ValueError.
     """
-    n = perm.n
-    a = sorted_unique(integers(indices, "indices").astype(np.int64, copy=False))
-    if a.size and (a[0] < 0 or a[-1] > n):
-        raise IndexOutOfRange("indices must lie in 0..n")
-    a = a[a > 0]  # E(0) = 0 is the anchor knot
-    y = np.concatenate(([0.0], (perm.images[a - 1] - a) / np.sqrt(2 * n)))
-    a = np.concatenate(([0], a))
-    if a[-1] != n:
-        a = np.concatenate((a, [n]))
-        y = np.concatenate((y, [0.0]))
-    return ScaledFunction(a, n, y)
+    t, e = _knots(perm, indices)
+    return ScaledFunction(t, perm.n, e / np.sqrt(2 * perm.n))
 
 
 def inversions(perm: Permutation) -> int:

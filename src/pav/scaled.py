@@ -4,11 +4,13 @@ Knot positions are stored as integer numerators over a single shared
 denominator, so knots coming from different grids (x/(2n) for scaled
 paths, a/n for exceedance interpolations) never collide or drift when
 two functions are compared; only the ordinates are floating point.  One
-evaluator serves every caller: on a block [lo, hi) of the lattice x/den,
-ScaledFunction.eval_lattice evaluates in O(hi - lo) after one binary
-search, so a caller can sweep the whole lattice in cache-sized blocks.
-sup_distance, the union-grid sup over two functions' knots, is the
-oracle the coupling sweeps are checked against bit for bit.
+formula, ScaledFunction._interpolate, gives every value between knots:
+eval_lattice applies it to a block [lo, hi) of the lattice x/den in
+O(hi - lo) after one binary search, sup_distance to the union grid of
+two functions' knots, and the coupling sweeps (experiments) to their
+candidate lattice points, from integer knots and with no ScaledFunction.
+sup_distance and a whole eval_lattice sweep are the oracles the coupling
+sups are checked against bit for bit.
 """
 
 from __future__ import annotations
@@ -123,12 +125,15 @@ def sup_distance(f: ScaledFunction, g: ScaledFunction) -> float:
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a 1-d integer array (np.unique's result).
+    """The sorted distinct values of a 1-d integer array (np.unique's
+    result), a itself when it is strictly increasing.
 
     np.unique and np.union1d are not used: numpy >= 2.3 dedupes integers
     through a hash table, about 40x slower than a sort on these
     near-consecutive knot arrays.
     """
+    if (a[1:] > a[:-1]).all():  # index sets come sorted: no copy
+        return a
     a = np.sort(a, kind="stable")  # timsort merges presorted runs in linear time
     keep = np.ones(a.size, dtype=bool)
     np.not_equal(a[1:], a[:-1], out=keep[1:])

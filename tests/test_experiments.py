@@ -33,10 +33,11 @@ from pav.experiments import (
     random_index_set,
     run_experiment,
     se_set,
-    _sweep_runs,
+    _mirror_runs,
     _paths_within,
+    _sweep_runs,
 )
-from pav.perms import exceedance_sets, inversions, scaled_function
+from pav.perms import _knots, exceedance_process, exceedance_sets, inversions, scaled_function
 from pav.rng import substream
 from pav.scaled import sup_distance
 
@@ -105,6 +106,13 @@ def path_and_index_set(draw):
     return path, np.arange(1, n + 1)
 
 
+def sweep_runs(path, perm, indices, op) -> list:
+    """_sweep_runs on the knots of scaled_function(perm, indices), as a list
+    of (start, stop) pairs."""
+    starts, stops = _sweep_runs(path, *_knots(perm, indices), op)
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
 class TestCandidateSegments:
     @given(path_and_index_set())
     @settings(max_examples=60, deadline=None)
@@ -118,10 +126,11 @@ class TestCandidateSegments:
         n = 100_000
         path = pav.sample_uniform(n, substream(0))
         tau = pav.bij321.forward(path)
-        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-        f_231 = scaled_function(bij231.forward(path), se_set(path, 1.0, 0.4))
-        for f, op in ((f_plus, np.subtract), (f_minus, np.add), (f_231, np.add)):
-            covered = sum(stop - start for start, stop in _sweep_runs(path, f, op))
+        e_plus, e_minus = exceedance_sets(tau)
+        sigma, b = bij231.forward(path), se_set(path, 1.0, 0.4)
+        for perm, indices, op in ((tau, e_plus, np.subtract), (tau, e_minus, np.add),
+                                  (sigma, b, np.add)):
+            covered = sum(stop - start for start, stop in sweep_runs(path, perm, indices, op))
             assert 0 < covered < 0.01 * (2 * n + 1)
 
     @given(path_and_index_set())
@@ -130,13 +139,14 @@ class TestCandidateSegments:
         path, b = case
         n = path.n
         g = path.heights / np.sqrt(2 * n)
-        tau = pav.bij321.forward(path)
-        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
-        f_231 = scaled_function(bij231.forward(path), b)
-        for f, op in ((f_231, np.add), (f_plus, np.subtract), (f_minus, np.add)):
+        tau, sigma = pav.bij321.forward(path), bij231.forward(path)
+        e_plus, e_minus = exceedance_sets(tau)
+        for perm, indices, op in ((sigma, b, np.add), (tau, e_plus, np.subtract),
+                                  (tau, e_minus, np.add)):
+            f = scaled_function(perm, indices)
             values = np.abs(op(g, f.eval_lattice(2 * n, 0, 2 * n + 1)))  # every lattice point
             knots = set((2 * f.t_num).tolist())
-            runs = _sweep_runs(path, f, op)
+            runs = sweep_runs(path, perm, indices, op)
             last = 0
             for start, stop in runs:
                 assert last <= start < stop  # disjoint, increasing and not empty
@@ -155,7 +165,6 @@ class TestCandidateSegments:
         tau, sigma = pav.bij321.forward(path), bij231.forward(path)
         cases = [(sigma, b, 1)] + [(tau, e, s) for e, s in zip(exceedance_sets(tau), (-1, 1))]
         for perm, indices, sign in cases:
-            f = scaled_function(perm, indices)
             images, kept = perm.images.tolist(), set(indices.tolist())
             knots = sorted(kept | {0, n})
             d = [abs(gamma[2 * a] + sign * (images[a - 1] - a if a in kept and a else 0))
@@ -168,30 +177,171 @@ class TestCandidateSegments:
                 if keep:
                     run = list(run)
                     want.append((2 * knots[run[0]], 2 * knots[run[-1] + 1] + 1))
-            assert _sweep_runs(path, f, np.subtract if sign < 0 else np.add) == want
-
-    def test_non_lattice_ordinates_raise(self):
-        # 0.3 * sqrt(4) is no integer: the ordinate is no exceedance over sqrt(2n)
-        f = pav.ScaledFunction([0, 1, 2], 2, [0.0, 0.3, 0.0])
-        with pytest.raises(NotReconstructible):
-            _sweep_runs(pav.from_text("UUDD"), f, np.add)
+            assert sweep_runs(path, perm, indices, np.subtract if sign < 0 else np.add) == want
 
     def test_segment_whose_bound_ties_best_is_swept(self):
         # tents of height 2 between knots on the floor, sqrt(2n) = 4: in units
         # of 1/4 the middle knot's E is 2 = max(d), and the outer segments'
         # bound 0 + 4/2 = 2 ties it exactly, so they are swept
         path = pav.from_text("UUDD" * 4)
-        f = pav.ScaledFunction([0, 2, 4, 6, 8], 8, [0.0, 0.0, 0.5, 0.0, 0.0])
-        assert _sweep_runs(path, f, np.add) == [(0, 17)]
+        starts, stops = _sweep_runs(path, np.array([0, 2, 4, 6, 8]), np.array([0, 0, 2, 0, 0]),
+                                    np.add)
+        assert list(zip(starts.tolist(), stops.tolist())) == [(0, 17)]
 
     def test_tent_bound_is_tight(self):
         # one tent, knots only at its ends: the apex is n = L/2 steps above
         # the chord, so the sup is the segment's bound exactly
         n = 50
         path = pav.from_text("U" * n + "D" * n)
-        f = scaled_function(bij231.forward(path), [])
-        assert _sweep_runs(path, f, np.add) == [(0, 2 * n + 1)]
+        assert sweep_runs(path, bij231.forward(path), [], np.add) == [(0, 2 * n + 1)]
         assert coupling_231(path, []) == n / math.sqrt(2 * n)
+
+
+def mirror_oracle(e: list) -> list:
+    """The candidate runs of the mirror sweep in Python ints: the maximal
+    runs of one nonzero sign of E(0..n), each with the other function's
+    values c0, c1 at the points beside it (0 past n, F_plus' anchor) and
+    E's least and largest value on it; a run is a candidate iff its upper
+    bound reaches the largest lower bound."""
+    runs = []
+    for sign, group in itertools.groupby(range(len(e)), key=lambda a: (e[a] > 0) - (e[a] < 0)):
+        points = list(group)
+        if sign:
+            runs.append((points[0], points[-1] + 1))
+    bounds = []
+    for start, stop in runs:
+        c = (e[start - 1], e[stop] if stop < len(e) else 0)
+        low, high = min(e[start:stop]), max(e[start:stop])
+        bounds.append((max(max(c) + high, -min(c) - low), max(min(c) + high, -max(c) - low)))
+    best = max((lower for _, lower in bounds), default=0)
+    return [run for run, (upper, _) in zip(runs, bounds) if upper >= best]
+
+
+def mirror_runs(path) -> list:
+    starts, stops = _mirror_runs(exceedance_process(pav.bij321.forward(path)))
+    return list(zip(starts.tolist(), stops.tolist()))
+
+
+class TestMirrorRuns:
+    """The mirror sup |F_plus + F_minus| sweeps only the runs of one sign
+    of E whose integer bound reaches the best (_mirror_runs)."""
+
+    @given(path_and_index_set())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_hold_the_lattice_maximum(self, case):
+        self.assert_runs_hold_the_lattice_maximum(case[0])
+
+    @pytest.mark.parametrize("n,seed", BLOCK_EDGES)
+    def test_runs_hold_the_lattice_maximum_at_block_edges(self, n, seed):
+        self.assert_runs_hold_the_lattice_maximum(pav.sample_uniform(n, substream(seed)))
+
+    @given(tent_path_and_knots())
+    @settings(max_examples=30, deadline=None)
+    def test_runs_hold_the_lattice_maximum_on_tents(self, case):
+        self.assert_runs_hold_the_lattice_maximum(case[0])
+
+    @staticmethod
+    def assert_runs_hold_the_lattice_maximum(path):
+        n = path.n
+        tau = pav.bij321.forward(path)
+        f_plus, f_minus = (scaled_function(tau, e) for e in exceedance_sets(tau))
+        values = np.abs(f_plus.eval_lattice(n, 0, n + 1) + f_minus.eval_lattice(n, 0, n + 1))
+        e = exceedance_process(tau)
+        runs = mirror_runs(path)
+        last = 0
+        for start, stop in runs:
+            assert last <= start < stop  # disjoint, increasing and not empty
+            assert len(set(np.sign(e[start:stop]).tolist()) - {0}) == 1 and 0 not in e[start:stop]
+            last = stop
+        swept = max((values[start:stop].max() for start, stop in runs), default=0.0)
+        assert swept == values.max()
+        assert coupling_321(path)[2] == values.max()
+
+    @given(path_and_index_set())
+    @settings(max_examples=60, deadline=None)
+    def test_runs_match_the_integer_oracle(self, case):
+        path = case[0]
+        e = exceedance_process(pav.bij321.forward(path)).tolist()
+        assert mirror_runs(path) == mirror_oracle(e)
+
+    def test_runs_match_the_integer_oracle_on_every_small_path(self):
+        for n in range(1, 9):
+            for path in pav.enumerate_all(n):
+                e = exceedance_process(pav.bij321.forward(path)).tolist()
+                assert mirror_runs(path) == mirror_oracle(e)
+
+    def test_run_whose_bound_ties_best_is_swept(self):
+        # E = 0, 1, -1, 2, -1, -1: the runs {1}, {2}, {3} and {4, 5} each have
+        # upper bound 1, and at 3, where F_plus has its knot 2 and F_minus is
+        # -1 on its segment from (2, -1) to (4, -1), the sum is 1 exactly:
+        # the best lower bound 1 ties every upper bound, and all are swept
+        path = pav.from_text("UDUUUDDUDD")
+        e = exceedance_process(pav.bij321.forward(path)).tolist()
+        assert e == [0, 1, -1, 2, -1, -1]
+        assert mirror_runs(path) == mirror_oracle(e) == [(1, 2), (2, 3), (3, 4), (4, 6)]
+        assert coupling_321(path)[2] == pytest.approx(1 / math.sqrt(10))
+
+    def test_mirror_sweeps_under_one_percent_at_1e5(self):
+        n = 100_000
+        runs = mirror_runs(pav.sample_uniform(n, substream(0)))
+        assert 0 < sum(stop - start for start, stop in runs) < 0.01 * (n + 1)
+
+    def test_falling_exceedances_raise(self, monkeypatch):
+        # 4 3 1 2 holds 321: its exceedance values 4, 3 fall, and E = 3, 1
+        # falls along the run of E > 0 at 1, 2, where the bounds need it to rise
+        monkeypatch.setattr(bij321, "forward", lambda path: pav.Permutation([4, 3, 1, 2]))
+        with pytest.raises(NotReconstructible):
+            coupling_321(pav.from_text("UDUDUDUD"))
+
+
+def exact_sup(pairs) -> Fraction:
+    """max over the lattice points x of |f(x) + g(x)|, f and g given by
+    their integer knots (x_i, v_i) and linear between them, in Fractions."""
+    def at(knots, x):
+        for (x0, v0), (x1, v1) in zip(knots, knots[1:]):
+            if x0 <= x <= x1:
+                return v0 + Fraction((v1 - v0) * (x - x0), x1 - x0)
+        raise AssertionError(f"{x} lies outside the knots")
+
+    f, g = pairs
+    return max(abs(at(f, x) + at(g, x)) for x in range(f[-1][0] + 1))
+
+
+def interpolation_knots(perm, indices, sign=1, step=1) -> list:
+    """The knots (step * a, sign * E(a)) of scaled_function(perm, indices)
+    in units of 1/sqrt(2n), with its anchors (0, 0) and (n, 0)."""
+    n, kept = perm.n, set(int(a) for a in indices)
+    points = sorted(kept | {0, n})
+    return [(step * a, sign * (perm(a) - a) if a in kept and a else 0) for a in points]
+
+
+def within_error_bound(value: float, exact: Fraction, n: int) -> bool:
+    """|value - exact / sqrt(2n)| <= 32 * 2**-53 * n / sqrt(2n), squared out
+    in Fractions: exact - b <= value sqrt(2n) <= exact + b."""
+    v, b = Fraction(value), Fraction(32 * n, 2**53)
+    square = v * v * 2 * n
+    return square <= (exact + b) ** 2 and (exact - b <= 0 or square >= (exact - b) ** 2)
+
+
+def test_sups_within_the_error_bound_of_the_exact_sups():
+    """On every path with n <= 8, each of the four coupling sups lies within
+    32 * 2**-53 * n units of 1/sqrt(2n) of the exact sup, taken over the
+    union knots in Fractions from the paths and the images alone."""
+    for n in range(1, 9):
+        for seed, path in enumerate(pav.enumerate_all(n)):
+            gamma = [(x, int(h)) for x, h in enumerate(path.heights)]
+            tau, sigma = pav.bij321.forward(path), bij231.forward(path)
+            e = [0] + [tau(a) - a for a in range(1, n + 1)]
+            plus = [a for a in range(n + 1) if e[a] >= 0]
+            minus = [a for a in range(n + 1) if e[a] <= 0]
+            want = (exact_sup((gamma, interpolation_knots(tau, plus, -1, 2))),
+                    exact_sup((gamma, interpolation_knots(tau, minus, 1, 2))),
+                    exact_sup((interpolation_knots(tau, plus), interpolation_knots(tau, minus))))
+            for got, exact in zip(coupling_321(path), want):
+                assert within_error_bound(got, exact, n)
+            for b in (se_set(path, 1.0, 0.4), random_index_set(n, 2, substream(seed))):
+                exact = exact_sup((gamma, interpolation_knots(sigma, b.tolist(), 1, 2)))
+                assert within_error_bound(coupling_231(path, b), exact, n)
 
 
 class TestCoupling321:
@@ -239,10 +389,11 @@ def traced_peak_mib(fn) -> float:
 class TestCouplingMemory:
     def test_no_full_size_lattice_temporaries(self):
         """At n = 1e5 a lattice-sized float64 array is 1.5 MiB.  Measured
-        peaks are 5.77 (321) and 4.46 MiB (231), reached before the sup,
-        in the forward map and scaled_function.  With one block for the
-        whole lattice (LATTICE_BLOCK = 2**30) they are 8.40 and 4.46 MiB:
-        the 231 sweep covers too few lattice points for blocks to show."""
+        peaks are 5.38 (321) and 3.15 MiB (231), reached before any sweep:
+        in the mirror's run bounds, beside tau and E, and in the candidate
+        bounds beside the knots.  The sweeps visit so few points that one
+        block for the whole lattice (LATTICE_BLOCK = 2**30) leaves both
+        peaks as they are; blocks bound the long runs of sparse sets."""
         path = pav.sample_uniform(100_000, substream(0))
         path.heights, pav.excursions(path)  # cached on the path beforehand
         b = se_set(path, 1.0, 0.4)

@@ -59,11 +59,10 @@ expect_raise("19-digit overflow", lambda: ints_from_text("9999999999999999999"),
 expect_raise("non-ASCII digit", lambda: ints_from_text("1 \uff12"), ValueError)
 expect_raise("float index set", lambda: scaled_function(pav.Permutation([1, 2]), [1.5]), ValueError)
 expect_raise("float run lengths", lambda: dyck.from_runs([2.7], [2.2]), BadStep)
-# The coupling sweeps pick their runs in integer units: an ordinate that is
-# no integer over sqrt(2n) cannot be one of an exceedance interpolation.
-off_lattice = pav.ScaledFunction([0, 1, 2], 2, [0.0, 0.3, 0.0])
-expect_raise("non-lattice ordinates",
-             lambda: experiments._sweep_runs(pav.from_text("UUDD"), off_lattice, np.add))
+# The mirror sweep's bounds need E to rise along each run of one sign, as
+# on every 321-avoider: an image whose exceedances 4, 3 fall is refused.
+experiments.bij321.forward = lambda path: pav.Permutation([4, 3, 1, 2])
+expect_raise("falling exceedances", lambda: experiments.coupling_321(pav.from_text("UDUDUDUD")))
 print("ok")
 """
 
