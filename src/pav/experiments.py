@@ -36,7 +36,7 @@ from .parallel import effective_workers, replicate_map
 from .perms import _knots, exceedance_process, max_deficit
 from .petrov import check_petrov
 from .rng import as_generator, substream
-from .scaled import ScaledFunction, sorted_unique
+from .scaled import _interpolate, sorted_unique
 from .trees import catalan, expected_hat_xi, subtree_size_limit
 
 
@@ -61,9 +61,9 @@ def _sweep_runs(path: DyckPath, t: np.ndarray, e: np.ndarray, op):
     steps, so the integer max(d0, d1) + L // 2 bounds a segment of L
     lattice steps; it is a candidate iff that reaches max(d).  A swept value
     lies within 32 * 2**-53 * n units of the exact one, under 1/2 for
-    n < 2**47 (test_sups_within_the_error_bound_of_the_exact_sups): the knot
-    attaining max(d) ends a candidate, so a run holds it, and it sweeps
-    above every point outside.
+    n < 2**47 (test_sups_within_the_error_bound_of_the_integer_oracle):
+    the knot attaining max(d) ends a candidate, so a run holds it, and it
+    sweeps above every point outside.
     """
     d = op(path.heights[::2][t], e)
     np.abs(d, out=d)
@@ -127,23 +127,18 @@ def _mirror_runs(e: np.ndarray):
 def _sweep(runs, knots, m: int, scale, exact, op) -> float:
     """max |op(exact(x), f(x))| over the lattice points x of the runs
     (starts, stops), f the interpolation through the knots (t, e) at
-    (m t, e / scale) on that lattice, in blocks of at most LATTICE_BLOCK
-    points; exact(x) gives the other function's values at the int64 x."""
+    (m t, e / scale) on that lattice (scaled._interpolate), in blocks of
+    at most LATTICE_BLOCK points; exact(x) gives the other function's
+    values at the int64 x."""
     (starts, stops), (t, e) = runs, knots
     ends = np.cumsum(stops - starts)  # the runs' points, laid end to end
     shift = stops - ends  # from a point's place in that row to its x
     total = int(ends[-1]) if ends.size else 0
-    inner = t[1:-1]
     best = 0.0
     for lo in range(0, total, LATTICE_BLOCK):
         at = np.arange(lo, min(lo + LATTICE_BLOCK, total))
         x = at + shift[np.searchsorted(ends, at, side="right")]
-        # a point's segment: the count of interior knots at or before it
-        idx = np.searchsorted(inner, x // m, side="right")
-        first, last = idx[0], idx[-1]
-        idx -= first
-        f = ScaledFunction._interpolate(m * t[first:last + 2], e[first:last + 2] / scale, idx,
-                                        x.astype(np.float64))
+        f = _interpolate(t, e, m, x, scale)
         v = op(exact(x), f, out=f)
         best = max(best, np.abs(v, out=v).max())
     return float(best)

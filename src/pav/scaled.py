@@ -4,13 +4,12 @@ Knot positions are stored as integer numerators over a single shared
 denominator, so knots coming from different grids (x/(2n) for scaled
 paths, a/n for exceedance interpolations) never collide or drift when
 two functions are compared; only the ordinates are floating point.  One
-formula, ScaledFunction._interpolate, gives every value between knots:
-eval_lattice applies it to a block [lo, hi) of the lattice x/den in
-O(hi - lo) after one binary search, sup_distance to the union grid of
-two functions' knots, and the coupling sweeps (experiments) to their
-candidate lattice points, from integer knots and with no ScaledFunction.
-sup_distance and a whole eval_lattice sweep are the oracles the coupling
-sups are checked against bit for bit.
+kernel, _interpolate, finds each lattice point's segment and gives its
+value: eval_lattice applies it to a block [lo, hi) of the lattice x/den,
+sup_distance to the union grid of two functions' knots, and the coupling
+sweeps (experiments) to their candidate lattice points, from integer
+knots and with no ScaledFunction.  Its weights are exact only while the
+lattice denominator is below 2**53, so larger ones are refused.
 """
 
 from __future__ import annotations
@@ -61,48 +60,18 @@ class ScaledFunction:
 
     def eval_lattice(self, den: int, lo: int, hi: int):
         """The values at x/den for the lattice block lo <= x < hi, where
-        0 <= lo < hi <= den + 1 and den is a multiple of t_den, in
-        O(hi - lo + log len(self)).  A lattice point on a knot gets the
-        stored ordinate bit for bit.
-
-        One binary search finds the segment of lo and the last knot before
-        hi; the segment of each later lattice point is that of lo plus the
-        count of interior knots passed on the way, a block-local cumsum.
+        0 <= lo < hi <= den + 1, den < 2**53 and den is a multiple of
+        t_den, by _interpolate.  A lattice point on a knot gets the stored
+        ordinate bit for bit.
         """
+        den, lo, hi = integer(den, "den", lo=1), integer(lo, "lo"), integer(hi, "hi")
         if den % self.t_den != 0:
             raise ValueError("den must be a multiple of the knot denominator")
-        m = den // self.t_den
+        if den >= 2**53:
+            raise ValueError(f"den={den} must be below 2**53, where the weights are exact")
         if not 0 <= lo < hi <= den + 1:
             raise ValueError(f"lattice block [{lo}, {hi}) must lie in 0..{den}")
-        # interior knot t is at or before the lattice point x iff t <= x // m
-        inner = self.t_num[1:-1]
-        first, last = np.searchsorted(inner, (lo // m, (hi - 1) // m), side="right")
-        own = self.t_num[first:last + 2] * m  # knots of the segments first..last
-        idx = np.zeros(hi - lo, dtype=np.intp)
-        idx[own[1:-1] - lo] = 1
-        np.cumsum(idx, out=idx)  # x = den lands in the last segment, at w = 1
-        x = np.arange(lo, hi, dtype=np.float64)
-        return self._interpolate(own, self.y[first:last + 2], idx, x)
-
-    @staticmethod
-    def _interpolate(own, y, idx, x):
-        """y0 * (1 - w) + y1 * w at x[i]/den on segment idx[i], through the
-        knots own/den and ordinates y; overwrites x.
-
-        Numerators below 2**53 are exact in float64, so w equals numpy's
-        int64 true-divide bit for bit, without its slow casting loop.
-        """
-        own = own.astype(np.float64)
-        buf = own[idx]
-        w = np.subtract(x, buf, out=x)
-        w /= np.take(np.diff(own), idx, out=buf, mode="clip")  # idx is in range
-        y1 = np.take(y[1:], idx, out=buf, mode="clip")
-        y1 *= w
-        np.subtract(1.0, w, out=w)
-        y0 = y[idx]
-        y0 *= w
-        y0 += y1
-        return y0
+        return _interpolate(self.t_num, self.y, den // self.t_den, np.arange(lo, hi), 1.0)
 
     def __repr__(self):
         return f"ScaledFunction({len(self)} knots, den={self.t_den})"
@@ -114,14 +83,45 @@ def sup_distance(f: ScaledFunction, g: ScaledFunction) -> float:
     For piecewise-linear f and g the difference is piecewise linear with
     breakpoints contained in the union of the two knot sets, so the
     supremum is attained at a union knot; no grid discretization enters.
+    The knots' common denominator must be below 2**53.
     """
     lcm = math.lcm(f.t_den, g.t_den)
-    owns = [h.t_num * (lcm // h.t_den) for h in (f, g)]
-    grid = sorted_unique(np.concatenate(owns))
-    # a grid point's segment: the count of interior knots at or before it
-    fv, gv = (h._interpolate(own, h.y, np.searchsorted(own[1:-1], grid, side="right"),
-                             grid.astype(np.float64)) for h, own in zip((f, g), owns))
+    if lcm >= 2**53:
+        raise ValueError(f"the common knot denominator {lcm} must be below 2**53, "
+                         "where the weights are exact")
+    grid = sorted_unique(np.concatenate([h.t_num * (lcm // h.t_den) for h in (f, g)]))
+    fv, gv = (_interpolate(h.t_num, h.y, lcm // h.t_den, grid, 1.0) for h in (f, g))
     return float(np.max(np.abs(fv - gv)))
+
+
+def _interpolate(t, y, m: int, x, scale) -> np.ndarray:
+    """The values at the ascending int64 lattice points x (at least one)
+    of the interpolation through the knots (m t, y / scale), t strictly
+    increasing int64 from 0 to at least max(x) / m, m t below 2**53.
+
+    A point's segment is the count of interior knots at or before it;
+    only the knots of the segments from x[0]'s to x[-1]'s are read.  The
+    value is y0 * (1 - w) + y1 * w with w = (x - x0) / (x1 - x0): the
+    numerators are exact in float64, so w equals numpy's int64
+    true-divide bit for bit, without its slow casting loop, and a point
+    on a knot gets that knot's ordinate.
+    """
+    idx = np.searchsorted(t[1:-1], x // m, side="right")
+    first, last = idx[0], idx[-1]
+    idx -= first
+    own = (m * t[first:last + 2]).astype(np.float64)
+    y = y[first:last + 2] / scale
+    w = x.astype(np.float64)  # the one float copy of x, overwritten by w
+    buf = own[idx]
+    np.subtract(w, buf, out=w)
+    w /= np.take(np.diff(own), idx, out=buf, mode="clip")  # idx is in range
+    y1 = np.take(y[1:], idx, out=buf, mode="clip")
+    y1 *= w
+    np.subtract(1.0, w, out=w)
+    y0 = y[idx]
+    y0 *= w
+    y0 += y1
+    return y0
 
 
 def sorted_unique(a: np.ndarray) -> np.ndarray:

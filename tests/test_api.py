@@ -2,8 +2,8 @@
 every pav name the benchmark scripts use still exists.  The integer rule
 lives in one module, the experiment harness draws each replicate's path
 in one function, every error class is raised somewhere, no inverse
-bijection re-runs a forward map, and each pattern class has one
-membership rule."""
+bijection re-runs a forward map, each pattern class has one
+membership rule, and one kernel interpolates for every sup."""
 
 import ast
 import importlib
@@ -178,3 +178,62 @@ def test_one_membership_rule_per_pattern_class():
     loops = [(rule.name, type(node).__name__) for rule in rules for node in ast.walk(rule)
              if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert loops == []
+
+
+# Names that hold knot abscissae in the pav sources
+KNOT_NAMES = {"t", "t_num", "own", "inner"}
+
+
+def function_calls(path: Path, name: str) -> set:
+    """The functions and methods that call name by its bare name in one
+    source file.  The file is parsed, never imported."""
+    return {func.name for func in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == name}
+
+
+def knot_lookups(path: Path) -> set:
+    """The functions and methods in one source file that call searchsorted
+    on knot abscissae: a haystack (np.searchsorted's first argument, or the
+    array whose method it is) that reads a name of KNOT_NAMES, or a local
+    bound from one.  The file is parsed, never imported."""
+    found = set()
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        knots = set(KNOT_NAMES)
+
+        def reads_knots(expr) -> bool:
+            return any(getattr(node, "id", None) in knots or getattr(node, "attr", None) in knots
+                       for node in ast.walk(expr))
+
+        assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+        while True:  # locals bound from knots, to a fixed point
+            bound = {target.id for node in assigns if reads_knots(node.value)
+                     for t in node.targets for target in ast.walk(t) if isinstance(target, ast.Name)}
+            if bound <= knots:
+                break
+            knots |= bound
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "searchsorted":
+                numpy = isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+                if reads_knots(node.args[0] if numpy else node.func.value):
+                    found.add(func.name)
+    return found
+
+
+def test_one_interpolation_kernel():
+    body = ast.parse((SRC / "scaled.py").read_text()).body
+    assert "_interpolate" in {top.name for top in body if isinstance(top, ast.FunctionDef)}
+    assert {"eval_lattice", "sup_distance"} <= function_calls(SRC / "scaled.py", "_interpolate")
+    assert "_sweep" in function_calls(SRC / "experiments.py", "_interpolate")
+    private = sorted((path.name, node.attr) for path in SRC.glob("*.py") if path.name != "scaled.py"
+                     for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                     if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                     and "ScaledFunction" in (getattr(node.value, "id", None),
+                                              getattr(node.value, "attr", None)))
+    assert private == []
+    # the walk sees the kernel's own segment lookup, and no other
+    lookups = sorted((path.name, name) for path in SRC.glob("*.py") for name in knot_lookups(path))
+    assert lookups == [("scaled.py", "_interpolate")]

@@ -344,6 +344,100 @@ def test_sups_within_the_error_bound_of_the_exact_sups():
                 assert within_error_bound(coupling_231(path, b), exact, n)
 
 
+def segment_sums(perm, kept, step) -> tuple:
+    """(S, L) at each lattice point x = 0..step n, int64: L = x1 - x0 and
+    S = E0 (x1 - x) + E1 (x - x0) over x's segment [x0, x1] of the
+    interpolation through the knots (step a, E(a) = perm(a) - a) for a in
+    kept, anchored at (0, 0) and (step n, 0) when 0 or n is absent, so that
+    it takes the value S / L in units of 1/sqrt(2n).  A point's segment is
+    the one it starts, the last point's the last one; each point finds its
+    x0 by a running maximum over the knots, not by a binary search."""
+    n = perm.n
+    e = np.concatenate(([0], perm.images - np.arange(1, n + 1)))
+    a = np.union1d(kept, [0, n]).astype(np.int64)
+    knots, values = step * a, np.where(np.isin(a, kept), e[a], 0)
+    start = np.zeros(step * n + 1, dtype=np.int64)
+    start[knots[:-1]] = knots[:-1]
+    x0 = np.maximum.accumulate(start)
+    after, value = np.zeros_like(start), np.zeros_like(start)
+    after[knots[:-1]], value[knots] = knots[1:], values
+    x1, x = after[x0], np.arange(step * n + 1)
+    return value[x0] * (x1 - x) + value[x1] * (x - x0), x1 - x0
+
+
+def exact_max(num, *dens) -> Fraction:
+    """max over the points of |num| / prod(dens), exact: the float quotients,
+    each within a few ulps of its exact value, pick the points that may hold
+    it, and Python ints compare those."""
+    q = np.abs(num).astype(np.float64)
+    for den in dens:
+        q /= den
+    near = np.flatnonzero(q >= q.max() * (1 - 1e-9))
+    return max(Fraction(abs(int(num[i])), math.prod(int(den[i]) for den in dens)) for i in near)
+
+
+@st.composite
+def paths_to_1e5(draw):
+    """Sampled paths with n up to 1e5, with an index set for the 231 sup as
+    in path_and_index_set."""
+    seed = draw(st.integers(0, 2**32))
+    n = draw(st.one_of(st.integers(1, 400), st.integers(401, 100_000), st.just(100_000)))
+    path = pav.sample_uniform(n, substream(seed))
+    kind = draw(st.sampled_from(["sparse", "empty", "se_set", "full"]))
+    b = {"sparse": lambda: random_index_set(n, draw(st.integers(1, 8)), substream(seed, 1)),
+         "empty": lambda: np.array([], dtype=np.int64),
+         "se_set": lambda: se_set(path, 1.0, 0.4),
+         "full": lambda: np.arange(1, n + 1)}[kind]()
+    return path, b
+
+
+def integer_oracle(path, b) -> tuple:
+    """The exact four coupling sups, in units of 1/sqrt(2n), from integer
+    numerators at every lattice point: L gamma(x) -+ S(x) over L for a sup
+    against the scaled path, and for the mirror L_minus S_plus + L_plus
+    S_minus over L_plus L_minus, at the points a of the lattice a/n.  Every
+    numerator is below 2**53 for n <= 1e5, so int64 holds it exactly."""
+    gamma = path.heights.astype(np.int64)
+    tau, sigma = bij321.forward(path), bij231.forward(path)
+    e = exceedance_process(tau)
+    plus, minus = np.flatnonzero(e >= 0), np.flatnonzero(e <= 0)
+    (s_plus, l_plus), (s_minus, l_minus) = (segment_sums(tau, k, 2) for k in (plus, minus))
+    (m_plus, d_plus), (m_minus, d_minus) = (segment_sums(tau, k, 1) for k in (plus, minus))
+    s, l = segment_sums(sigma, b, 2)
+    return (exact_max(l_plus * gamma - s_plus, l_plus),
+            exact_max(l_minus * gamma + s_minus, l_minus),
+            exact_max(d_minus * m_plus + d_plus * m_minus, d_plus, d_minus),
+            exact_max(l * gamma + s, l))
+
+
+def test_integer_oracle_equals_the_fraction_oracle():
+    """On every path with n <= 6, the four sups of exact_sup's union knots."""
+    for n in range(1, 7):
+        for seed, path in enumerate(pav.enumerate_all(n)):
+            gamma = [(x, int(h)) for x, h in enumerate(path.heights)]
+            tau, sigma = pav.bij321.forward(path), bij231.forward(path)
+            e = exceedance_process(tau).tolist()
+            plus = [a for a in range(n + 1) if e[a] >= 0]
+            minus = [a for a in range(n + 1) if e[a] <= 0]
+            b = random_index_set(n, 2, substream(seed))
+            want = (exact_sup((gamma, interpolation_knots(tau, plus, -1, 2))),
+                    exact_sup((gamma, interpolation_knots(tau, minus, 1, 2))),
+                    exact_sup((interpolation_knots(tau, plus), interpolation_knots(tau, minus))),
+                    exact_sup((gamma, interpolation_knots(sigma, b.tolist(), 1, 2))))
+            assert integer_oracle(path, b) == want
+
+
+@given(paths_to_1e5())
+@settings(max_examples=40, deadline=None)
+def test_sups_within_the_error_bound_of_the_integer_oracle(case):
+    """Each of the four coupling sups lies within 32 * 2**-53 * n units of
+    1/sqrt(2n) of the integer oracle's exact sup."""
+    path, b = case
+    got = (*coupling_321(path), coupling_231(path, b))
+    for value, exact in zip(got, integer_oracle(path, b)):
+        assert within_error_bound(value, exact, path.n), (value, exact)
+
+
 class TestCoupling321:
     def test_smallest_path(self):
         d_plus, d_minus, d_mirror = coupling_321(pav.from_text("UD"))
@@ -848,8 +942,9 @@ def test_registry_bytes_equal_across_workers(theorem):
 
 # SHA-256 of repr(report.raw) with keep_raw, n_grid (1000, 10000), 8 replicates,
 # seed 17.  The bit-for-bit tests above compare the sweeps with sup_distance,
-# which shares ScaledFunction._interpolate with them, so only a frozen value
-# sees a change to the interpolation itself.
+# which shares the kernel scaled._interpolate with them, so a change to the
+# interpolation inside the integer oracle's bound shows only here and in
+# test_perms.py's comparisons with eval_rational_int_divide.
 RAW_SHA256 = {
     "thm321": "224fc72d5d96306b6050e1c965e27f5832ac6ed6acd757d38c7d694b287007f9",
     "thm231": "7c469dbd3f1610a0c6554a748afaa7d73c629b55cb75e0d826dc0968e56cb5cc",

@@ -5,6 +5,7 @@ parsed or cast.  An empty sequence of any dtype is empty."""
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 import pav
 from pav import bij231, dyck, experiments, parallel, perms, rng, trees
 from pav.errors import BadConfig, BadStep, DomainError, IndexOutOfRange, PavError, RangeError
-from pav.scaled import ScaledFunction
+from pav.scaled import ScaledFunction, sup_distance
 
 PATH = pav.from_text("UUDUDD")
 PERM = pav.Permutation([2, 1, 3])
@@ -44,6 +45,12 @@ SCALARS = [
     ("exceedance", lambda v: perms.exceedance(PERM, v), IndexOutOfRange, "i"),
     ("tree_formula", lambda v: bij231.tree_formula(TREE, v), IndexOutOfRange, "i"),
     ("ScaledFunction t_den", lambda v: ScaledFunction([0, 2], v, [0.0, 0.0]), ValueError, "t_den"),
+    ("eval_lattice den", lambda v: ScaledFunction([0, 2], 2, [0.0, 0.0]).eval_lattice(v, 0, 1),
+     ValueError, "den"),
+    ("eval_lattice lo", lambda v: ScaledFunction([0, 2], 2, [0.0, 0.0]).eval_lattice(4, v, 5),
+     ValueError, "lo"),
+    ("eval_lattice hi", lambda v: ScaledFunction([0, 2], 2, [0.0, 0.0]).eval_lattice(4, 0, v),
+     ValueError, "hi"),
     ("ExperimentConfig n_grid", lambda v: config(n_grid=(v,)), BadConfig, "n_grid"),
     ("ExperimentConfig replicates", lambda v: config(replicates=v), BadConfig, "replicates"),
     ("ExperimentConfig seed", lambda v: config(seed=v), BadConfig, "seed"),
@@ -143,8 +150,21 @@ def test_se_set_threshold_must_not_overflow(c, alpha, message):
         experiments.se_set(path, c, alpha)
 
 
-# (id, call, error class, message) of each check on a value's structure
+def tent(den):
+    return ScaledFunction([0, 1, den], den, [0.0, 1.0, 0.0])
+
+
+# (id, call, error class, message) of each check on a value's structure.  The
+# interpolation weights are exact only below a lattice denominator of 2**53:
+# beyond it, numerators round to float64 (1.0 for 1 - 2**-53 here) and lcm
+# numerators overflow int64 (1.0000000000009095 for the exact sup 1.0 here).
 STRUCTURES = [
+    ("lattice denominator 2**54", lambda: tent(2).eval_lattice(2**54, 2**53 - 1, 2**53),
+     ValueError, f"den={2**54} must be below 2**53, where the weights are exact"),
+    ("common denominator above 2**53",
+     lambda: sup_distance(tent(2**40), ScaledFunction([0, 2**40 - 1], 2**40 - 1, [0.0, 0.0])),
+     ValueError, f"the common knot denominator {2**40 * (2**40 - 1)} must be below 2**53, "
+     "where the weights are exact"),
     ("unequal lengths", lambda: ScaledFunction([0, 1, 2], 2, [0.0, 0.0]),
      ValueError, "knot arrays must be of equal length"),
     ("one knot", lambda: ScaledFunction([0], 1, [0.0]),
@@ -162,6 +182,12 @@ STRUCTURES = [
 def test_structure_checks_name_the_fault(site, call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_lattice_denominators_just_below_2_53_are_exact():
+    got = tent(2).eval_lattice(2**53 - 2, 2**52 - 2, 2**52 - 1)[0]
+    assert got == float(Fraction(2**52 - 2, 2**52 - 1)) < 1.0
+    assert sup_distance(tent(2**40), ScaledFunction([0, 2**12 - 1], 2**12 - 1, [0.0, 0.0])) == 1.0
 
 
 def test_bounds_name_the_parameter():

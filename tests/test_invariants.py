@@ -16,6 +16,7 @@ import pav
 from pav import dyck, experiments
 from pav.errors import BadStep, NotReconstructible
 from pav.perms import ints_from_text, scaled_function
+from pav.scaled import ScaledFunction, sup_distance
 
 if sys.flags.optimize < 1:
     sys.exit("not running under python -O")
@@ -59,6 +60,12 @@ expect_raise("19-digit overflow", lambda: ints_from_text("9999999999999999999"),
 expect_raise("non-ASCII digit", lambda: ints_from_text("1 \uff12"), ValueError)
 expect_raise("float index set", lambda: scaled_function(pav.Permutation([1, 2]), [1.5]), ValueError)
 expect_raise("float run lengths", lambda: dyck.from_runs([2.7], [2.2]), BadStep)
+# So are the lattice denominators' 2**53 limits.
+tent = ScaledFunction([0, 1, 2**40], 2**40, [0.0, 1.0, 0.0])
+expect_raise("eval_lattice at 2**54", lambda: tent.eval_lattice(2**54, 0, 1), ValueError)
+expect_raise("sup_distance at 2**80",
+             lambda: sup_distance(tent, ScaledFunction([0, 2**40 - 1], 2**40 - 1, [0.0, 0.0])),
+             ValueError)
 # The mirror sweep's bounds need E to rise along each run of one sign, as
 # on every 321-avoider: an image whose exceedances 4, 3 fall is refused.
 experiments.bij321.forward = lambda path: pav.Permutation([4, 3, 1, 2])
