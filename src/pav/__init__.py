@@ -31,7 +31,6 @@ from .perms import (
     avoids_231,
     avoids_321,
     contains_pattern,
-    exceedance,
     exceedance_sets,
     inversions,
     max_deficit,
@@ -59,7 +58,7 @@ __all__ = [
     "from_text", "enumerate_all", "sample_uniform",
     "runs", "excursions", "max_height",
     "contains_pattern", "avoids_321", "avoids_231",
-    "exceedance", "exceedance_sets", "scaled_function",
+    "exceedance_sets", "scaled_function",
     "inversions", "max_deficit",
     "from_contour", "to_contour", "stats", "hat_xi",
     "catalan", "expected_xi", "expected_hat_xi", "subtree_size_limit",

@@ -144,16 +144,11 @@ def _cmd_petrov(args) -> int:
     return 0
 
 
-# theorem id -> the real options its run reads; the other ids read none
-_READS = {"thm231": ("c", "alpha", "epsilon"), "random_index": ("c", "alpha"),
-          "subtree": ("c", "alpha")}
-
-
 def _cmd_experiment(args) -> int:
     reals = {name: value for name in ("c", "alpha", "epsilon")
              if (value := getattr(args, name)) is not None}  # the rest keep the config's defaults
-    unread = [name for name in reals if name not in _READS.get(args.theorem, ())]
-    if unread and args.theorem in THEOREMS:  # an unknown id is the config's error
+    _, reads = THEOREMS.get(args.theorem, (None, reals))  # an unknown id: the config refuses it
+    if unread := [name for name in reals if name not in reads]:
         args.parser.error(f"--theorem {args.theorem} reads no "
                           + ", ".join(f"--{name}" for name in unread))
     config = ExperimentConfig(
@@ -228,12 +223,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=int, nargs="+", required=True)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--c", type=float, help="thm231, random_index and subtree only")
-    p.add_argument("--alpha", type=float, help="thm231, random_index and subtree only")
-    p.add_argument("--epsilon", type=float, help="thm231 only")
+    for name in ("c", "alpha", "epsilon"):
+        *ids, last = [theorem for theorem, (_, reads) in THEOREMS.items() if name in reads]
+        p.add_argument(f"--{name}", type=float,
+                       help=", ".join(ids) + " and " * bool(ids) + f"{last} only")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--keep-raw", type=str, default=None, metavar="CSV")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--no-timing", action="store_true")
     p.set_defaults(fn=_cmd_experiment, parser=p)
 

@@ -124,33 +124,29 @@ def _mirror_runs(e: np.ndarray):
     return edge[:-1][keep], edge[1:][keep]
 
 
-def _sweep(runs, knots, m: int, scale, exact, op) -> float:
-    """max |op(exact(x), f(x))| over the lattice points x of the runs
-    (starts, stops), f the interpolation through the knots (t, e) at
-    (m t, e / scale) on that lattice (scaled._interpolate), in blocks of
-    at most LATTICE_BLOCK points; exact(x) gives the other function's
-    values at the int64 x."""
-    (starts, stops), (t, e) = runs, knots
+def _sweep(runs, values) -> float:
+    """max |values(x)| over the lattice points x of the runs (starts,
+    stops), in blocks of at most LATTICE_BLOCK points; values maps the
+    int64 x to a fresh float64 array."""
+    starts, stops = runs
     ends = np.cumsum(stops - starts)  # the runs' points, laid end to end
     shift = stops - ends  # from a point's place in that row to its x
     total = int(ends[-1]) if ends.size else 0
     best = 0.0
     for lo in range(0, total, LATTICE_BLOCK):
         at = np.arange(lo, min(lo + LATTICE_BLOCK, total))
-        x = at + shift[np.searchsorted(ends, at, side="right")]
-        f = _interpolate(t, e, m, x, scale)
-        v = op(exact(x), f, out=f)
+        v = values(at + shift[np.searchsorted(ends, at, side="right")])
         best = max(best, np.abs(v, out=v).max())
     return float(best)
 
 
 def _lattice_sup(path: DyckPath, t: np.ndarray, e: np.ndarray, op) -> float:
     """max over x = 0..2n of |op(G, f)| at x/(2n), G = heights / sqrt(2n)
-    and f through the knots (t/n, e/sqrt(2n)): a whole sweep's bits, from
-    a sweep of the runs that can hold it."""
+    and f through the knots (t/n, e/sqrt(2n)) (scaled._interpolate): a
+    whole sweep's bits, from a sweep of the runs that can hold it."""
     scale = np.sqrt(2 * path.n)
-    return _sweep(_sweep_runs(path, t, e, op), (t, e), 2, scale,
-                  lambda x: path.heights[x] / scale, op)
+    return _sweep(_sweep_runs(path, t, e, op),
+                  lambda x: op(path.heights[x] / scale, _interpolate(t, e, 2, x, scale)))
 
 
 def coupling_321(path: DyckPath) -> tuple[float, float, float]:
@@ -169,19 +165,18 @@ def coupling_321(path: DyckPath) -> tuple[float, float, float]:
     in units of 1/sqrt(2n) reaches the largest knot value (_sweep_runs).
     F_plus + F_minus has its knots at the even points x = 2a, the union
     grid of that pair, so its sup is a maximum over a/n (2p/2q == p/q in
-    IEEE arithmetic); there one of the pair takes its ordinate, and only
-    the runs whose integer bound reaches the best are swept (_mirror_runs).
+    IEEE arithmetic); there one of the pair takes its ordinate, which
+    _interpolate returns exactly, and only the runs whose integer bound
+    reaches the best are swept (_mirror_runs).
     """
     tau = bij321.forward(path)
     e = exceedance_process(tau)
-    starts, stops = _mirror_runs(e)  # before the knots: its temporaries peak beside tau alone
+    runs = _mirror_runs(e)  # before the knots: its temporaries peak beside tau alone
     plus, minus = _knots(tau, np.flatnonzero(e >= 0)), _knots(tau, np.flatnonzero(e <= 0))
-    del tau
+    del tau, e
     scale = np.sqrt(2 * path.n)
-    below = e[starts] < 0  # inside a segment of F_plus
-    mirror = max(_sweep(runs, knots, 1, scale, lambda a: e[a] / scale, np.add)
-                 for runs, knots in (((starts[below], stops[below]), plus),
-                                     ((starts[~below], stops[~below]), minus)))
+    mirror = _sweep(runs, lambda a: (_interpolate(*plus, 1, a, scale)
+                                     + _interpolate(*minus, 1, a, scale)))
     return (_lattice_sup(path, *plus, np.subtract), _lattice_sup(path, *minus, np.add), mirror)
 
 
@@ -323,19 +318,20 @@ def _petrov(path: DyckPath, stream, cfg) -> dict[str, float]:
     return out
 
 
-# theorem id -> (path, substream, config) -> statistics, the path drawn first
-# from the substream (_replicate); workers look it up by id
-REPLICATES = {
-    "thm321": lambda path, stream, cfg: dict(zip(
-        ("d_plus", "d_minus", "d_mirror"), coupling_321(path))),
-    "thm231": _thm231,
-    "random_index": _random_index,
-    "height": lambda path, stream, cfg: {"height_vs_contour": height_vs_contour(path)},
-    "moments": lambda path, stream, cfg: dict(zip(
-        ("inversions_scaled", "max_scaled"), moment_replicate(path))),
-    "petrov": _petrov,
+# theorem id -> (statistic, the real options its run reads).  A statistic
+# maps (path, substream, config) to named values, the path drawn first from
+# the substream (_replicate); subtree is exact, with no statistic.
+THEOREMS = {
+    "thm321": (lambda path, stream, cfg: dict(zip(
+        ("d_plus", "d_minus", "d_mirror"), coupling_321(path))), ()),
+    "thm231": (_thm231, ("c", "alpha", "epsilon")),
+    "random_index": (_random_index, ("c", "alpha")),
+    "height": (lambda path, stream, cfg: {"height_vs_contour": height_vs_contour(path)}, ()),
+    "moments": (lambda path, stream, cfg: dict(zip(
+        ("inversions_scaled", "max_scaled"), moment_replicate(path))), ()),
+    "petrov": (_petrov, ()),
+    "subtree": (None, ("c", "alpha")),
 }
-THEOREMS = (*REPLICATES, "subtree")  # subtree is exact: no replicates
 
 
 @dataclass(frozen=True)
@@ -432,7 +428,7 @@ class ExperimentReport:
 def _replicate(config: ExperimentConfig, item) -> dict[str, float]:
     n, r = item
     stream = substream(config.seed, n, r)
-    return REPLICATES[config.theorem_id](sample_uniform(n, stream), stream, config)
+    return THEOREMS[config.theorem_id][0](sample_uniform(n, stream), stream, config)
 
 
 def _subtree_rows(config: ExperimentConfig) -> list:
@@ -465,7 +461,7 @@ def _aggregate_row(n: int, statistic: str, values) -> dict:
     }
 
 
-def run_experiment(config: ExperimentConfig, workers: int | None = 1) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentReport:
     """Run the configured experiment over n_grid x replicates.
 
     Replicates run in one process pool per run (deterministic per-replicate

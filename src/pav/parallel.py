@@ -27,12 +27,9 @@ from concurrent.futures import ProcessPoolExecutor
 from .errors import BadConfig, integer
 
 
-def effective_workers(workers: int | None) -> int:
-    """Resolve the worker count: explicit value, else PAV_THREADS, else 1."""
-    if workers is None:
-        env = os.environ.get("PAV_THREADS", "").strip()
-        workers = int(env) if env.isascii() and env.removeprefix("-").isdecimal() else env or 1
-    return integer(workers, "--threads/PAV_THREADS", BadConfig, lo=1)
+def effective_workers(workers: int) -> int:
+    """The worker count, an integer of at least 1."""
+    return integer(workers, "--threads", BadConfig, lo=1)
 
 
 # mallopt parameters, and the ceiling of glibc's dynamic mmap threshold on
@@ -58,7 +55,7 @@ def _keep_heap_resident() -> bool:
             and mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX) == 1)
 
 
-def replicate_map(fn, items, workers: int | None = 1) -> list:
+def replicate_map(fn, items, workers: int = 1) -> list:
     """Apply fn to each item, in a pool of min(workers, CPUs this process
     may run on, items) processes when that is above 1.
 

@@ -226,12 +226,6 @@ def avoids_231(perm: Permutation) -> bool:
     return True
 
 
-def exceedance(perm: Permutation, i: int) -> int:
-    """E(i) = pi(i) - i for 1 <= i <= n, and E(0) = 0."""
-    i = integer(i, "i", IndexOutOfRange, 0, perm.n)
-    return int(perm.images[i - 1]) - i if i else 0
-
-
 def exceedance_process(perm: Permutation) -> np.ndarray:
     """The full vector (E(0), E(1), ..., E(n))."""
     out = np.arange(0, -perm.n - 1, -1, dtype=np.int64)  # -i, then pi(i) added

@@ -261,7 +261,6 @@ class VoucherReport:
     vacuous is True and ok is True by convention (flagged).
     """
 
-    applicable: bool
     vacuous: bool
     ok: bool
     y_edge_ok: bool
@@ -286,7 +285,7 @@ def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> 
         petrov_report = check_petrov(path)
     if not petrov_report.all_hold:
         return VoucherReport(
-            applicable=False, vacuous=True, ok=True,
+            vacuous=True, ok=True,
             y_edge_ok=True, increments_ok=True, y_increment_ok=True,
             window_hits_d=True, window_hits_complement=True,
         )
@@ -316,7 +315,7 @@ def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> 
 
     ok = y_edge_ok and increments_ok and y_increment_ok and window_hits_d and window_hits_comp
     return VoucherReport(
-        applicable=True, vacuous=False, ok=ok,
+        vacuous=False, ok=ok,
         y_edge_ok=y_edge_ok, increments_ok=increments_ok,
         y_increment_ok=y_increment_ok,
         window_hits_d=window_hits_d, window_hits_complement=window_hits_comp,

@@ -3,7 +3,8 @@ every pav name the benchmark scripts use still exists.  The integer rule
 lives in one module, the experiment harness draws each replicate's path
 in one function, every error class is raised somewhere, no inverse
 bijection re-runs a forward map, each pattern class has one
-membership rule, and one kernel interpolates for every sup."""
+membership rule, one kernel interpolates for every sup, and no module
+reads the environment."""
 
 import ast
 import importlib
@@ -227,7 +228,8 @@ def test_one_interpolation_kernel():
     body = ast.parse((SRC / "scaled.py").read_text()).body
     assert "_interpolate" in {top.name for top in body if isinstance(top, ast.FunctionDef)}
     assert {"eval_lattice", "sup_distance"} <= function_calls(SRC / "scaled.py", "_interpolate")
-    assert "_sweep" in function_calls(SRC / "experiments.py", "_interpolate")
+    sweeps = function_calls(SRC / "experiments.py", "_interpolate")
+    assert {"_lattice_sup", "coupling_321"} <= sweeps
     private = sorted((path.name, node.attr) for path in SRC.glob("*.py") if path.name != "scaled.py"
                      for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
                      if isinstance(node, ast.Attribute) and node.attr.startswith("_")
@@ -237,3 +239,22 @@ def test_one_interpolation_kernel():
     # the walk sees the kernel's own segment lookup, and no other
     lookups = sorted((path.name, name) for path in SRC.glob("*.py") for name in knot_lookups(path))
     assert lookups == [("scaled.py", "_interpolate")]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(source: str) -> list:
+    """The lines of source that read an attribute of ENVIRONMENT (os.environ,
+    os.getenv) or import one from os.  The source is parsed, never run."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                  or isinstance(node, ast.ImportFrom) and node.module == "os"
+                  and any(alias.name in ENVIRONMENT for alias in node.names))
+
+
+def test_no_module_reads_the_environment():
+    # the walk sees both forms of a read
+    assert environment_reads("import os\nos.environ.get('X')\nfrom os import getenv\n") == [2, 3]
+    reads = {path.name: environment_reads(path.read_text()) for path in SRC.glob("*.py")}
+    assert {name: lines for name, lines in reads.items() if lines} == {}

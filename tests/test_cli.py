@@ -5,6 +5,7 @@ import dataclasses
 import io
 import itertools
 import json
+import re
 import resource
 import shlex
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pav import bij231, cli, dyck, perms, trees
+from pav import bij231, dyck, perms, trees
 from pav.cli import main
 from pav.experiments import THEOREMS, ExperimentConfig, run_experiment
 from pav.petrov import petrov_frequency
@@ -398,9 +399,27 @@ class TestExperimentCmd:
         """The options an id refuses are the ones its run does not read."""
         base = ExperimentConfig(theorem, (10, 12), 2, 3)
         want = run_experiment(base).results
-        for name in {"c", "alpha", "epsilon"} - set(cli._READS.get(theorem, ())):
+        for name in {"c", "alpha", "epsilon"} - set(THEOREMS[theorem][1]):
             moved = dataclasses.replace(base, **{name: getattr(base, name) - 0.5})
             assert run_experiment(moved).results == want, name
+
+    @pytest.mark.parametrize("theorem,name", [
+        (theorem, name) for theorem, (_, reads) in THEOREMS.items() for name in reads])
+    def test_a_real_an_id_reads_moves_a_result(self, theorem, name):
+        """The table lists no option that its theorem ignores."""
+        base = ExperimentConfig(theorem, (10, 12), 2, 3)
+        value = {"c": 2.0, "alpha": 0.5, "epsilon": -0.7}[name]  # -0.7: se_large can fall to 0
+        moved = dataclasses.replace(base, **{name: value})
+        assert run_experiment(moved).results != run_experiment(base).results
+
+    def test_help_names_the_ids_that_read_each_real(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["experiment", "--help"])
+        text = " ".join(capsys.readouterr().out.split())  # argparse wraps the help
+        for name in ("c", "alpha", "epsilon"):
+            helped = re.search(rf"--{name} {name.upper()} (.*?) only", text).group(1)
+            assert re.split(r", | and ", helped) == [
+                theorem for theorem, (_, reads) in THEOREMS.items() if name in reads]
 
     def test_bad_theorem_exit_1(self, capsys):
         code, _, err = run_cli(
@@ -415,14 +434,6 @@ class TestExperimentCmd:
             capsys=capsys,
         )
         assert code == 1 and out == "" and err.startswith("error:")
-
-    @pytest.mark.parametrize("env", ["0", "abc"])
-    def test_bad_env_threads_exit_1(self, capsys, monkeypatch, env):
-        monkeypatch.setenv("PAV_THREADS", env)
-        code, out, err = run_cli(
-            ["experiment", "--theorem", "subtree", "--n-grid", "10"], capsys=capsys
-        )
-        assert code == 1 and out == "" and err.startswith("error:") and "PAV_THREADS" in err
 
     def test_out_file_bytes_equal_stdout(self, capsys, tmp_path):
         args = ["experiment", "--theorem", "height", "--n-grid", "20", "--replicates", "2",

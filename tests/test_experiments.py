@@ -23,7 +23,7 @@ from pav import bij231, bij321, dyck, parallel, petrov
 from pav.errors import BadConfig, NotReconstructible, TooLarge
 from pav.experiments import (
     LATTICE_BLOCK,
-    REPLICATES,
+    THEOREMS,
     ExperimentConfig,
     coupling_231,
     coupling_321,
@@ -879,22 +879,11 @@ class TestPool:
 
     @pytest.mark.parametrize("workers", [0, -4, 2.5, 2.0, "2"])
     def test_rejects_worker_count(self, workers):
-        with pytest.raises(BadConfig, match="--threads/PAV_THREADS"):
+        with pytest.raises(BadConfig, match="^--threads must be"):
             parallel.replicate_map(abs, range(3), workers)
         cfg = ExperimentConfig(theorem_id="subtree", n_grid=(10,), replicates=1, seed=0)
         with pytest.raises(BadConfig):
             run_experiment(cfg, workers=workers)
-
-    @pytest.mark.parametrize("env", ["0", "-1", "abc", "2.5", "\u0663"])  # Arabic-Indic 3
-    def test_rejects_env_worker_count(self, monkeypatch, env):
-        monkeypatch.setenv("PAV_THREADS", env)
-        with pytest.raises(BadConfig, match="PAV_THREADS"):
-            parallel.effective_workers(None)
-
-    @pytest.mark.parametrize("env,workers", [("", 1), (" 3 ", 3)])
-    def test_env_worker_count(self, monkeypatch, env, workers):
-        monkeypatch.setenv("PAV_THREADS", env)
-        assert parallel.effective_workers(None) == workers
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the settings are glibc's")
     def test_heap_pages_reused(self):
@@ -933,7 +922,8 @@ class TestPool:
         assert pooled == run_experiment(cfg, workers=1).to_json(include_timing=False)
 
 
-@pytest.mark.parametrize("theorem", sorted(REPLICATES))
+@pytest.mark.parametrize("theorem", sorted(t for t, (statistic, _) in THEOREMS.items()
+                                     if statistic))
 def test_registry_bytes_equal_across_workers(theorem):
     cfg = ExperimentConfig(theorem_id=theorem, n_grid=(20,), replicates=2, seed=11)
     one = run_experiment(cfg, workers=1).to_json(include_timing=False)
@@ -969,7 +959,7 @@ def test_small_n_means_match_exact_means(theorem):
     standard deviation, and equal means for a statistic constant on them."""
     n, reps = 8, 4000
     cfg = ExperimentConfig(theorem_id=theorem, n_grid=(n,), replicates=reps, seed=4242)
-    exact = [REPLICATES[theorem](path, None, cfg) for path in pav.enumerate_all(n)]
+    exact = [THEOREMS[theorem][0](path, None, cfg) for path in pav.enumerate_all(n)]
     assert len(exact) == pav.catalan(n)
     for row in run_experiment(cfg, workers=2).results:
         values = np.array([d[row["statistic"]] for d in exact])

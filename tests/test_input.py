@@ -42,7 +42,6 @@ SCALARS = [
     ("expected_hat_xi_float n", lambda v: trees.expected_hat_xi_float(v, 1), RangeError, "n"),
     ("Permutation.identity", pav.Permutation.identity, ValueError, "n"),
     ("Permutation.__call__", PERM, IndexOutOfRange, "i"),
-    ("exceedance", lambda v: perms.exceedance(PERM, v), IndexOutOfRange, "i"),
     ("tree_formula", lambda v: bij231.tree_formula(TREE, v), IndexOutOfRange, "i"),
     ("ScaledFunction t_den", lambda v: ScaledFunction([0, 2], v, [0.0, 0.0]), ValueError, "t_den"),
     ("eval_lattice den", lambda v: ScaledFunction([0, 2], 2, [0.0, 0.0]).eval_lattice(v, 0, 1),
@@ -54,7 +53,7 @@ SCALARS = [
     ("ExperimentConfig n_grid", lambda v: config(n_grid=(v,)), BadConfig, "n_grid"),
     ("ExperimentConfig replicates", lambda v: config(replicates=v), BadConfig, "replicates"),
     ("ExperimentConfig seed", lambda v: config(seed=v), BadConfig, "seed"),
-    ("effective_workers", parallel.effective_workers, BadConfig, "--threads/PAV_THREADS"),
+    ("effective_workers", parallel.effective_workers, BadConfig, "--threads"),
 ]
 
 ARRAYS = [
@@ -87,11 +86,9 @@ def refused(call, value, error, name):
     assert str(exc.value).startswith(f"{name} must be "), str(exc.value)
 
 
-# None is effective_workers' default: PAV_THREADS, else 1
 @pytest.mark.parametrize("site,call,error,name,value", [
     pytest.param(*site, value, id=f"{site[0]}-{value!r}")
     for site in SCALARS for value in (2.5, 2.0, True, "2", None, np.float64(2.0), np.True_)
-    if not (value is None and site[0] == "effective_workers")
 ])
 def test_scalar_sites_refuse_non_integers(site, call, error, name, value):
     refused(call, value, error, name)
@@ -193,8 +190,8 @@ def test_lattice_denominators_just_below_2_53_are_exact():
 def test_bounds_name_the_parameter():
     refused(lambda v: dyck.sample_uniform(v, 1), 0, ValueError, "n")
     refused(PERM, 4, IndexOutOfRange, "i")
-    with pytest.raises(IndexOutOfRange, match=r"^i must be in 0\.\.3, not -1$"):
-        perms.exceedance(PERM, -1)
+    with pytest.raises(IndexOutOfRange, match=r"^i must be in 1\.\.3, not -1$"):
+        PERM(-1)
     with pytest.raises(RangeError, match="^k must be >= 1, not 0$"):
         trees.hat_xi(TREE, 0)
     for replicates in (0, -5):  # subtree draws none, yet needs one like every theorem
@@ -207,7 +204,7 @@ def test_numpy_integers_accepted(cast):
     assert dyck.sample_uniform(cast(5), cast(3)) == dyck.sample_uniform(5, 3)
     draw = rng.substream(7, 2).integers(1 << 30)
     assert rng.substream(cast(7), cast(2)).integers(1 << 30) == draw
-    assert PERM(cast(1)) == 2 and perms.exceedance(PERM, cast(0)) == 0
+    assert PERM(cast(1)) == 2
     assert trees.catalan(cast(5)) == 42 and trees.hat_xi(TREE, cast(2)) == 1
     assert bij231.tree_formula(TREE, cast(2)) == bij231.tree_formula(TREE, 2)
     assert experiments.exact_moment_oracle(cast(3)) == experiments.exact_moment_oracle(3)

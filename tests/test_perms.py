@@ -16,7 +16,6 @@ from pav.perms import (
     avoids_231,
     avoids_321,
     contains_pattern,
-    exceedance,
     exceedance_process,
     exceedance_sets,
     inversions,
@@ -178,20 +177,14 @@ class TestPatterns:
 
 class TestExceedance:
     def test_identity(self):
-        ident = Permutation.identity(5)
-        assert all(exceedance(ident, i) == 0 for i in range(6))
+        assert exceedance_process(Permutation.identity(5)).tolist() == [0] * 6
 
     def test_values(self):
-        p = Permutation([2, 3, 1])
-        assert [exceedance(p, i) for i in range(4)] == [0, 1, 1, -2]
+        assert exceedance_process(Permutation([2, 3, 1])).tolist() == [0, 1, 1, -2]
 
     def test_figure_row(self):
         tau = Permutation("2 1 6 3 10 4 5 7 8 9")
-        assert exceedance(tau, 5) == 5
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            exceedance(Permutation([1, 2]), 3)
+        assert exceedance_process(tau)[5] == 5
 
     @given(perm_strategy)
     @settings(max_examples=80, deadline=None)

@@ -306,13 +306,13 @@ class TestVoucher:
     def test_vacuous_flag_on_irregular_path(self):
         p = pav.sample_uniform(100, 3)
         rep = check_voucher(p)
-        assert not rep.applicable and rep.vacuous and rep.ok
+        assert rep.vacuous and rep.ok
 
     def test_regular_family_claims_hold(self):
         for k in (25, 100, 1000):
             p = pav.from_text("UUDD" * k)
             rep = check_voucher(p)
-            assert rep.applicable and rep.ok
+            assert not rep.vacuous and rep.ok
 
     def test_small_n_boundary(self):
         # all four conditions hold at n = 34 yet the increment claim
@@ -321,7 +321,7 @@ class TestVoucher:
         p = pav.from_text("UUDD" * 17)
         assert check_petrov(p).all_hold
         rep = check_voucher(p)
-        assert rep.applicable and not rep.increments_ok and not rep.ok
+        assert not rep.vacuous and not rep.increments_ok and not rep.ok
 
     def test_claims_match_literal_evaluation(self):
         # force the claims onto random and long-run paths, where their
