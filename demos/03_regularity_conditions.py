@@ -8,7 +8,7 @@ import json
 
 import pav
 from pav.bij321 import coupling_bounds
-from pav.petrov import check_petrov, check_voucher, petrov_frequency
+from pav.petrov import check_petrov, petrov_frequency
 
 print("== a random path at n = 1000 fails the height condition ==")
 path = pav.sample_uniform(1000, seed=1)
@@ -20,9 +20,8 @@ print("== the regular family (UUDD)^k satisfies all four conditions ==")
 for k in (25, 500, 5000):
     p = pav.from_text("UUDD" * k)
     rep = check_petrov(p)
-    voucher = check_voucher(p, rep)
-    bounds = coupling_bounds(p, rep)
-    print(f"  n = {2 * k:6d}: all_hold={rep.all_hold}  derived claims ok={voucher.ok}  "
+    bounds = coupling_bounds(p)  # not gated: rep.all_hold says whether they must hold
+    print(f"  n = {2 * k:6d}: all_hold={rep.all_hold}  derived claims ok={rep.voucher.ok}  "
           f"coupling errors ({bounds.max_d_error}, {bounds.max_notd_error}, "
           f"{bounds.max_run_error}) within bounds={bounds.bounds_hold}")
 

@@ -11,14 +11,13 @@ by `perms.avoids_321`, and rebuilds the path from the exceedance runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .dyck import DyckPath, from_runs, runs
 from .errors import Not321Avoiding
 from .perms import Permutation, avoids_321
-from .petrov import below, check_petrov
+from .petrov import HEIGHT_ERROR, RUN_ERROR, below
 
 
 def forward(path: DyckPath) -> Permutation:
@@ -56,16 +55,17 @@ class CouplingReport:
     max_notd_error: max over j outside of |tau(j) - j + gamma(2j)|
     max_run_error:  max over j outside of |tau(j) - j + y_i|, where i is
                     the run with D_{i-1} < j <= D_i
-    petrov_held:    whether the path satisfies the moderate-deviation
-                    conditions; when it does, the first two maxima must
-                    stay below 10 n^0.4 and the third below 7 n^0.4.
+
+    Where the path satisfies the moderate-deviation conditions
+    (check_petrov(path).all_hold), the first two maxima must stay below
+    10 n^0.4 and the third below 7 n^0.4; the within_bound fields say
+    whether they do, on any path.
     """
 
     n: int
     max_d_error: int
     max_notd_error: int
     max_run_error: int
-    petrov_held: bool
     d_within_bound: bool
     notd_within_bound: bool
     run_within_bound: bool
@@ -75,11 +75,12 @@ class CouplingReport:
         return self.d_within_bound and self.notd_within_bound and self.run_within_bound
 
 
-def coupling_bounds(path: DyckPath, petrov_report=None) -> CouplingReport:
+def coupling_bounds(path: DyckPath) -> CouplingReport:
     """Evaluate the conditional coupling inequalities on one path.
 
     The bound comparisons are exact: v < 10 n^{2/5} iff v^5 < 10^5 n^2
-    in integer arithmetic, and similarly for 7 n^{2/5}.
+    in integer arithmetic, and similarly for 7 n^{2/5}.  They are not
+    gated: a caller gates them on check_petrov(path).all_hold.
     """
     rd = runs(path)
     n = rd.n
@@ -99,16 +100,12 @@ def coupling_bounds(path: DyckPath, petrov_report=None) -> CouplingReport:
     y_out = rd.y[run_idx]
     max_run = int(np.max(np.abs(diff[~mask_d] + y_out)))
 
-    if petrov_report is None:
-        petrov_report = check_petrov(path)
-    held = petrov_report.all_hold
     return CouplingReport(
         n=n,
         max_d_error=max_d,
         max_notd_error=max_notd,
         max_run_error=max_run,
-        petrov_held=held,
-        d_within_bound=below(max_d, n, 10, Fraction(2, 5)),
-        notd_within_bound=below(max_notd, n, 10, Fraction(2, 5)),
-        run_within_bound=below(max_run, n, 7, Fraction(2, 5)),
+        d_within_bound=below(max_d, n, *HEIGHT_ERROR),
+        notd_within_bound=below(max_notd, n, *HEIGHT_ERROR),
+        run_within_bound=below(max_run, n, *RUN_ERROR),
     )

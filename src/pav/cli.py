@@ -12,7 +12,6 @@ cannot be written, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
@@ -21,7 +20,7 @@ from . import bij231, bij321, dyck, perms, trees
 from ._version import __version__
 from .errors import PavError
 from .experiments import THEOREMS, ExperimentConfig, run_experiment
-from .petrov import check_petrov, check_voucher
+from .petrov import check_petrov
 from .rng import substream
 from .trees import expected_hat_xi, expected_xi, subtree_size_limit
 
@@ -136,11 +135,7 @@ def _cmd_expect(args) -> int:
 
 def _cmd_petrov(args) -> int:
     for text in _inputs(args):
-        path = _parse(dyck.DyckPath, text)
-        report = check_petrov(path)
-        payload = report.as_dict()
-        payload["voucher"] = dataclasses.asdict(check_voucher(path, report))
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(check_petrov(_parse(dyck.DyckPath, text)).as_dict(), sort_keys=True))
     return 0
 
 
@@ -162,10 +157,12 @@ def _cmd_experiment(args) -> int:
     report = run_experiment(config, workers=args.threads)
     if args.keep_raw:  # first, so a CSV that cannot be written leaves stdout empty
         report.save_raw_csv(args.keep_raw)
+    text = report.to_json(include_timing=not args.no_timing)
     if args.out:
-        report.save(args.out, include_timing=not args.no_timing)
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
     else:
-        print(report.to_json(include_timing=not args.no_timing))
+        print(text)
     return 0
 
 

@@ -413,11 +413,6 @@ class ExperimentReport:
     def to_json(self, include_timing: bool = True) -> str:
         return json.dumps(self.as_dict(include_timing), sort_keys=True, indent=2)
 
-    def save(self, path, include_timing: bool = True) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json(include_timing))
-            fh.write("\n")
-
     def save_raw_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("n,replicate,statistic,value\n")

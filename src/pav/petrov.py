@@ -14,16 +14,20 @@ At desk scale the conditions typically fail (the (a) threshold sits
 below the typical max height until n is astronomically large), so the
 checker's value is exactness plus the conditional lemmas it gates:
 frequency estimates are a diagnostic, not a target.
+Every regularity threshold of the package is a named (coef, exp) pair
+below, decided by one exact comparison (`below`, and `slack` for margins).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .dyck import DyckPath, runs
+from .dyck import DyckPath, RunDecomposition, runs
 
 
 # ---------------------------------------------------------------------------
@@ -35,16 +39,33 @@ SPREAD = (Fraction(1, 2), Fraction(2, 5))  # (b): 0.5 n^0.4
 REACH = (Fraction(2), Fraction(3, 5))  # (b): pairs with |x - y| < 2 n^0.6
 PAIR = (Fraction(1, 10), Fraction(3, 5))  # (c)/(d): 0.1 |i - j|^0.6
 MIN_GAP = (Fraction(1), Fraction(3, 10))  # (c)/(d): pairs with |i - j| >= n^0.3
+EDGE = (Fraction(1), Fraction(3, 5))  # claims: edge runs i < n^0.6 and i > m - n^0.6
+EDGE_HEIGHT = (Fraction(1), Fraction(2, 5))  # claims: y_i < n^0.4 on the edge runs
+STEP = (Fraction(1), Fraction(9, 50))  # claims: a_i, d_i, |y_i - y_(i-1)| < n^0.18
+HEIGHT_ERROR = (Fraction(10), Fraction(2, 5))  # coupling: |tau(j) - j -+ gamma(2j)| < 10 n^0.4
+RUN_ERROR = (Fraction(7), Fraction(2, 5))  # coupling: |tau(j) - j + y_i| < 7 n^0.4
+
+
+def _excess(v: int, n: int, coef: Fraction | int, exp: Fraction) -> int:
+    """coef.num^q n^p - (coef.den v)^q for exp = p/q: the sign of coef * n^exp - v,
+    so 0.4 n^0.6 - v takes the sign of 32 n^3 - 3125 v^5."""
+    p, q = exp.numerator, exp.denominator
+    return coef.numerator**q * n**p - (coef.denominator * v) ** q
 
 
 def below(v: int, n: int, coef: Fraction | int, exp: Fraction) -> bool:
-    """v < coef * n^exp, exactly, for nonnegative integers v, n and coef > 0.
+    """v < coef * n^exp, exactly, for nonnegative integers v, n and coef > 0."""
+    return _excess(v, n, coef, exp) > 0
 
-    With exp = p/q this is (coef.den * v)^q < coef.num^q * n^p, so
-    0.4 n^0.6 becomes 3125 v^5 < 32 n^3.
-    """
-    p, q = exp.numerator, exp.denominator
-    return (coef.denominator * v) ** q < coef.numerator**q * n**p
+
+def slack(v: int, n: int, coef: Fraction | int, exp: Fraction) -> float:
+    """coef * n^exp - v in floats with the exact comparison's sign: 0.0
+    exactly when v equals the threshold, so slack(...) > 0 iff below(...)."""
+    excess = _excess(v, n, coef, exp)
+    if excess == 0:
+        return 0.0
+    magnitude = abs(float(coef) * n ** float(exp) - v) or math.ulp(0.0)
+    return magnitude if excess > 0 else -magnitude
 
 
 def largest_below(n: int, coef: Fraction | int, exp: Fraction) -> int:
@@ -67,14 +88,36 @@ def min_gap_0x3(n: int) -> int:
 
 
 @dataclass(frozen=True)
+class VoucherReport:
+    """Derived claims checked on a path where the conditions hold.
+
+    When the path fails the conditions the claims are not asserted: the
+    report is VACUOUS, with vacuous True and every claim True by convention.
+    """
+
+    vacuous: bool
+    ok: bool
+    y_edge_ok: bool
+    increments_ok: bool
+    y_increment_ok: bool
+    window_hits_d: bool
+    window_hits_complement: bool
+
+
+VACUOUS = VoucherReport(*[True] * 7)  # vacuous, ok and every claim True
+
+
+@dataclass(frozen=True)
 class PetrovReport:
     """Outcome of the four conditions on one path.
 
     witnesses holds, for each failed condition, one violating tuple that
     re-verifies against the literal inequality; margins holds per
-    condition the worst-case slack threshold-minus-value (negative when
-    failed).  A passing margin is the exact minimum slack, a failing one
-    the slack of the witness.
+    condition the worst-case slack threshold-minus-value, by `slack`:
+    positive when the condition holds, 0.0 at an exact tie and negative
+    otherwise.  A passing margin is the exact minimum slack, a failing
+    one the slack of the witness.  voucher holds the derived claims where
+    all four conditions hold, and VACUOUS elsewhere.
     """
 
     n: int
@@ -86,6 +129,7 @@ class PetrovReport:
     witnesses: dict = field(default_factory=dict)
     margins: dict = field(default_factory=dict)
     notes: tuple = ()
+    voucher: VoucherReport = VACUOUS
 
     @property
     def all_hold(self) -> bool:
@@ -95,12 +139,7 @@ class PetrovReport:
         return {
             "n": self.n,
             "m": self.m,
-            "conditions": {
-                "a": self.cond_a,
-                "b": self.cond_b,
-                "c": self.cond_c,
-                "d": self.cond_d,
-            },
+            "conditions": {k: getattr(self, f"cond_{k}") for k in "abcd"},
             "all_hold": self.all_hold,
             "witnesses": {k: list(v) for k, v in self.witnesses.items()},
             "margins": {
@@ -108,6 +147,7 @@ class PetrovReport:
                 for k, v in self.margins.items()
             },
             "notes": list(self.notes),
+            "voucher": dataclasses.asdict(self.voucher),
         }
 
 
@@ -153,11 +193,13 @@ def _gap_max(x: np.ndarray, g: int) -> tuple[int, int]:
 
 
 def check_petrov(path: DyckPath) -> PetrovReport:
-    """Evaluate conditions (a)-(d) on a path.
+    """Evaluate conditions (a)-(d) on a path, and the derived claims
+    where all four hold.
 
     Conditions (a) and (b) are O(n) vectorized; the pair conditions (c)/(d)
-    are decided by _pair_condition.  All threshold comparisons are exact,
-    and a passing condition's margin is its exact minimum slack.
+    are decided by _pair_condition.  Each verdict is its margin's sign, by
+    the exact comparison of `slack`, and a passing condition's margin is
+    its exact minimum slack.
     """
     n = path.n
     if n < 1:
@@ -172,17 +214,15 @@ def check_petrov(path: DyckPath) -> PetrovReport:
     # (a)
     x_max = int(np.argmax(gamma))
     g_max = int(gamma[x_max])
-    cond_a = below(g_max, n, *HEIGHT)
-    margins["a"] = 0.4 * n**0.6 - g_max
-    if not cond_a:
+    margins["a"] = slack(g_max, n, *HEIGHT)
+    if margins["a"] <= 0:
         witnesses["a"] = (x_max, g_max)
 
     # (b): all pairs |x - y| < 2 n^0.6, i.e. gap <= W
     w_gap = largest_below(n, *REACH)
     worst_range, w_start = _window_range_max(gamma, w_gap + 1)
-    cond_b = below(worst_range, n, *SPREAD)
-    margins["b"] = 0.5 * n**0.4 - worst_range
-    if not cond_b:
+    margins["b"] = slack(worst_range, n, *SPREAD)
+    if margins["b"] <= 0:
         block = gamma[w_start : w_start + w_gap + 1]
         x = w_start + int(np.argmax(block))
         y = w_start + int(np.argmin(block))
@@ -191,54 +231,47 @@ def check_petrov(path: DyckPath) -> PetrovReport:
     # (c)/(d): pairs of run indices at gap >= n^0.3
     g0 = min_gap_0x3(n)
     idx = np.arange(1, m + 1, dtype=np.int64)
-    holds = {}
     for name, series in (("c", rd.A - 2 * idx), ("d", rd.D - 2 * idx)):
         if m - 1 < g0:
             notes.append(f"({name}) vacuous: no index pairs at gap >= n^0.3")
-        holds[name], wit, margins[name] = _pair_condition(series, g0)
+        wit, margins[name] = _pair_condition(series, g0)
         if wit is not None:
             witnesses[name] = wit
 
-    return PetrovReport(
-        n=n,
-        m=m,
-        cond_a=cond_a,
-        cond_b=cond_b,
-        cond_c=holds["c"],
-        cond_d=holds["d"],
-        witnesses=witnesses,
-        margins=margins,
-        notes=tuple(notes),
-    )
+    holds = [margins[name] > 0 for name in "abcd"]
+    return PetrovReport(n, m, *holds, witnesses, margins, tuple(notes),
+                        _voucher(rd) if all(holds) else VACUOUS)
 
 
 def _pair_condition(series: np.ndarray, g0: int):
     """Check |B_i - B_j| < 0.1 |i-j|^0.6 for every gap >= g0, exactly.
 
-    Returns (ok, witness, margin) as a gap-by-gap enumeration would: the
+    Returns (witness, margin) as a gap-by-gap enumeration would: the
     witness (i, j, |B_i - B_j|) is the worst pair at the smallest failing
-    gap, and the margin is that gap's slack, or on success the minimum
-    slack over all gaps.
+    gap, and the margin is that gap's slack; on success the witness is
+    None and the margin the minimum slack over all gaps (inf for none).
 
     Gaps are taken in intervals [lo, hi] on a geometric grid.  The windowed
     range R(hi) (max |B_i - B_j| over gaps <= hi) bounds every gap of the
     interval while the threshold grows with the gap, so an interval is
-    skipped when R(hi) < 0.1 lo^0.6 certifies it and its slack bound
-    0.1 lo^0.6 - R(hi) cannot lower the margin found so far.  Every other
-    interval is scanned gap by gap.
+    skipped when its slack bound 0.1 lo^0.6 - R(hi) is at least the margin
+    found so far: that margin is positive, so the bound certifies the
+    interval and cannot lower the margin.  Every other interval is
+    scanned gap by gap.
     """
     margin = float("inf")
     for lo, hi in _gap_intervals(g0, series.size - 1):
         if margin < float("inf"):  # a skip needs a margin to compare against
             envelope, _ = _window_range_max(series, hi + 1)
-            if below(envelope, lo, *PAIR) and 0.1 * lo**0.6 - envelope >= margin:
+            if slack(envelope, lo, *PAIR) >= margin:
                 continue
         for g in range(lo, hi + 1):
             worst, t = _gap_max(series, g)
-            if not below(worst, g, *PAIR):
-                return False, (t + 1, t + 1 + g, worst), 0.1 * g**0.6 - worst
-            margin = min(margin, 0.1 * g**0.6 - worst)
-    return True, None, margin
+            gap_slack = slack(worst, g, *PAIR)
+            if gap_slack <= 0:
+                return (t + 1, t + 1 + g, worst), gap_slack
+            margin = min(margin, gap_slack)
+    return None, margin
 
 
 def _gap_intervals(g0: int, top: int):
@@ -250,60 +283,32 @@ def _gap_intervals(g0: int, top: int):
 
 
 # ---------------------------------------------------------------------------
-# derived regularity claims gated on the conditions
+# derived regularity claims, gated on the conditions by check_petrov
 
 
-@dataclass(frozen=True)
-class VoucherReport:
-    """Derived claims checked on a path where the conditions hold.
-
-    When the path fails the conditions the claims are not asserted:
-    vacuous is True and ok is True by convention (flagged).
-    """
-
-    vacuous: bool
-    ok: bool
-    y_edge_ok: bool
-    increments_ok: bool
-    y_increment_ok: bool
-    window_hits_d: bool
-    window_hits_complement: bool
-
-
-def check_voucher(path: DyckPath, petrov_report: PetrovReport | None = None) -> VoucherReport:
-    """Verify the derived claims:
+def _voucher(rd: RunDecomposition) -> VoucherReport:
+    """Verify the derived claims on a path's runs:
 
       - y_i < n^0.4 for i < n^0.6 and for i > m - n^0.6,
       - a_i, d_i < n^0.18 for all i (hence |y_i - y_{i-1}| < n^0.18),
       - every window of >= n^0.3 consecutive indices in {1..n} meets both
         the set {D_i} and its complement.
 
-    All comparisons exact; claims are only asserted when the conditions
-    hold on the path.
+    All comparisons exact.  check_petrov asserts the claims only where the
+    conditions hold.
     """
-    if petrov_report is None:
-        petrov_report = check_petrov(path)
-    if not petrov_report.all_hold:
-        return VoucherReport(
-            vacuous=True, ok=True,
-            y_edge_ok=True, increments_ok=True, y_increment_ok=True,
-            window_hits_d=True, window_hits_complement=True,
-        )
-    n = path.n
-    rd = runs(path)
-    m = rd.m
+    n, m = rd.n, rd.m
 
     # every claim is v < threshold, monotone in v: one test on each max
-    def all_below(values, exp):
-        return values.size == 0 or below(int(values.max()), n, 1, exp)
+    def all_below(values, threshold):
+        return values.size == 0 or below(int(values.max()), n, *threshold)
 
-    near = largest_below(n, 1, Fraction(3, 5))  # i < n^0.6 iff i <= near
+    near = largest_below(n, *EDGE)  # i < n^0.6 iff i <= near
     y = rd.y  # y_i sits at y[i - 1]: the edge runs are i <= near and i >= m - near
-    y_edge_ok = all_below(np.concatenate((y[:near], y[max(0, m - 1 - near) :])), Fraction(2, 5))
+    y_edge_ok = all_below(np.concatenate((y[:near], y[max(0, m - 1 - near) :])), EDGE_HEIGHT)
 
-    increments_ok = all_below(rd.a, Fraction(9, 50)) and all_below(rd.d, Fraction(9, 50))
-    y_steps = np.abs(np.diff(y, prepend=0))
-    y_increment_ok = all_below(y_steps, Fraction(9, 50))
+    increments_ok = all_below(rd.a, STEP) and all_below(rd.d, STEP)
+    y_increment_ok = all_below(np.abs(np.diff(y, prepend=0)), STEP)
 
     # a window of `window` indices in 1..n misses a set iff the set, fenced
     # by 0 and n + 1, has a gap > window

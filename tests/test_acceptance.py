@@ -23,7 +23,7 @@ from pav.experiments import (
     se_set,
 )
 from pav.perms import Permutation, contains_pattern, inversions, max_deficit
-from pav.petrov import check_petrov, check_voucher
+from pav.petrov import check_petrov
 from pav.rng import substream
 from test_bij321 import check_exceedance_sign
 from test_petrov import assert_matches_oracle
@@ -299,8 +299,8 @@ def test_a10_petrov():
         rep = check_petrov(path)
         if rep.all_hold:
             held += 1
-            assert check_voucher(path, rep).ok
-            assert bij321.coupling_bounds(path, rep).bounds_hold
+            assert rep.voucher.ok
+            assert bij321.coupling_bounds(path).bounds_hold
     # The conditions are expected to fail on every sampled path at this
     # scale; assert and record the vacuity, then exercise the gated
     # bounds on a crafted regular family where all conditions hold.
@@ -310,8 +310,8 @@ def test_a10_petrov():
         path = pav.from_text("UUDD" * k)
         rep = check_petrov(path)
         assert rep.all_hold
-        assert check_voucher(path, rep).ok
-        assert bij321.coupling_bounds(path, rep).bounds_hold
+        assert rep.voucher.ok
+        assert bij321.coupling_bounds(path).bounds_hold
         crafted += 1
     return (
         f"1008 checker/oracle agreements; sampled paths vacuous ({held} held), "

@@ -3,14 +3,15 @@ every pav name the benchmark scripts use still exists.  The integer rule
 lives in one module, the experiment harness draws each replicate's path
 in one function, every error class is raised somewhere, no inverse
 bijection re-runs a forward map, each pattern class has one
-membership rule, one kernel interpolates for every sup, and no module
-reads the environment."""
+membership rule, one kernel interpolates for every sup, no module
+reads the environment, and petrov alone decides a regularity threshold."""
 
 import ast
 import importlib
 from pathlib import Path
 
 import pav
+from pav import petrov
 
 BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 SRC = Path(pav.__file__).resolve().parent
@@ -258,3 +259,37 @@ def test_no_module_reads_the_environment():
     assert environment_reads("import os\nos.environ.get('X')\nfrom os import getenv\n") == [2, 3]
     reads = {path.name: environment_reads(path.read_text()) for path in SRC.glob("*.py")}
     assert {name: lines for name, lines in reads.items() if lines} == {}
+
+
+def petrov_imports(source: str) -> list:
+    """The names that source imports from a module named petrov, by a
+    relative or an absolute import.  The source is parsed, never run."""
+    return sorted(alias.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.module or "").split(".")[-1] == "petrov"
+                  for alias in node.names)
+
+
+def float_powers(source: str) -> list:
+    """The lines of source where a function raises a value to a float
+    literal power, as a float restatement of a threshold does.  The source
+    is parsed, never run."""
+    return sorted({node.lineno for func in ast.walk(ast.parse(source))
+                   if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                   and isinstance(node.right, ast.Constant)
+                   and isinstance(node.right.value, float)})
+
+
+def test_thresholds_decided_in_petrov():
+    # the walks see both import forms, and a float power but not an integer one
+    assert petrov_imports("from .petrov import below\nfrom pav.petrov import HEIGHT\n") == [
+        "HEIGHT", "below"]
+    assert float_powers("def f(n):\n    return n**2\n\ndef g(n):\n    return 0.4 * n**0.6\n") == [5]
+    thresholds = {name for name, value in vars(petrov).items()
+                  if name.isupper() and isinstance(value, tuple)}
+    assert {"HEIGHT", "HEIGHT_ERROR", "RUN_ERROR"} <= thresholds
+    imported = petrov_imports((SRC / "bij321.py").read_text())
+    assert sorted(set(imported) - thresholds - {"below"}) == []
+    powers = {name: float_powers((SRC / name).read_text()) for name in ("petrov.py", "bij321.py")}
+    assert {name: lines for name, lines in powers.items() if lines} == {}

@@ -1,7 +1,7 @@
 """Run-sum bijection to 321-avoiders: figure values, roundtrips, sign
 dichotomy, conditional coupling bounds."""
 
-from itertools import permutations
+from itertools import chain, permutations
 from math import factorial
 
 import numpy as np
@@ -14,6 +14,7 @@ from pav import bij321
 from pav.dyck import from_runs
 from pav.errors import BadStep, InvalidPath, Not321Avoiding
 from pav.perms import Permutation, contains_pattern
+from pav.petrov import check_petrov
 from pav.rng import substream
 from test_perms import prefix_max_avoids_321, transposed
 
@@ -213,19 +214,29 @@ class TestCouplingBounds:
         for k in (25, 100, 1000):
             p = pav.from_text("UUDD" * k)
             rep = bij321.coupling_bounds(p)
-            assert rep.petrov_held
+            assert check_petrov(p).all_hold
             assert rep.bounds_hold
             assert rep.max_d_error <= 1 and rep.max_notd_error <= 2
 
     def test_implication_on_random_paths(self):
-        # conditions rarely hold at desk scale; the bound is asserted
-        # whenever they do, and vacuity is recorded otherwise
+        # each verdict is its literal integer inequality on every path; the
+        # bounds are asserted where the conditions hold, which no path here
+        # does.  Only the tall paths break a bound; at (60, 10) the run error
+        # and at (80, 10) the d error lies between 7 n^0.4 and 10 n^0.4.
         rng = substream(31)
-        held = 0
-        for _ in range(50):
-            p = pav.sample_uniform(int(rng.integers(1, 300)), rng)
-            rep = bij321.coupling_bounds(p)
-            if rep.petrov_held:
+        small = (p for n in range(1, 9) for p in pav.enumerate_all(n))
+        sampled = [pav.sample_uniform(int(rng.integers(1, 300)), rng) for _ in range(50)]
+        tall = [pav.from_text("U" * a + "D" * b + "UD" * 5 + "U" * 10 + "D" * (a - b + 10))
+                for a, b in ((60, 10), (80, 10), (200, 100))]
+        held, verdicts = 0, set()
+        for p in chain(small, sampled, tall):
+            rep, n = bij321.coupling_bounds(p), p.n
+            assert rep.d_within_bound == (rep.max_d_error**5 < 10**5 * n**2)
+            assert rep.notd_within_bound == (rep.max_notd_error**5 < 10**5 * n**2)
+            assert rep.run_within_bound == (rep.max_run_error**5 < 7**5 * n**2)
+            verdicts.add((rep.d_within_bound, rep.notd_within_bound, rep.run_within_bound))
+            if check_petrov(p).all_hold:
                 held += 1
                 assert rep.bounds_hold
-        assert held >= 0  # typically zero; the crafted family covers non-vacuity
+        assert held == 0  # the crafted family covers non-vacuity
+        assert [{v[i] for v in verdicts} for i in range(3)] == [{True, False}] * 3, verdicts

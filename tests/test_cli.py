@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -259,6 +260,21 @@ class TestPetrovCmd:
         assert payload["conditions"]["a"] is False
         assert payload["all_hold"] is False
         assert "voucher" in payload
+
+    def test_output_bytes_pinned(self, capsys):
+        # every path with n <= 8, A10's 1,000 sampled paths, then the regular
+        # family; the digest is the float margins' one, as none of these
+        # paths sits at a tie that floats miss
+        texts = [p.to_text() for n in range(1, 9) for p in dyck.enumerate_all(n)]
+        rng = substream(10_010)
+        texts += [dyck.sample_uniform(int(rng.integers(1, 201)), rng).to_text()
+                  for _ in range(1000)]
+        texts += ["UUDD" * k for k in (16, 17, 25, 250, 2500)]
+        code, out, _ = run_cli(["petrov", *texts], capsys=capsys)
+        lines = out.splitlines()
+        assert (code, len(lines)) == (0, 3060)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest[:16] == "87a3b13fb4ba9b79"
 
     def test_pair_mode_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -571,10 +571,10 @@ class TestHeightVsContour:
 @pytest.mark.parametrize("call", [
     bij321.forward, bij231.forward, coupling_321, lambda path: coupling_231(path, []),
     bij321.coupling_bounds, moment_replicate, height_vs_contour, dyck.scaled_path,
-    petrov.check_petrov, petrov.check_voucher,
+    petrov.check_petrov,
 ], ids=["bij321.forward", "bij231.forward", "coupling_321", "coupling_231",
         "coupling_bounds", "moment_replicate", "height_vs_contour", "scaled_path",
-        "check_petrov", "check_voucher"])
+        "check_petrov"])
 def test_empty_path_refused_by_name(call):
     message = r"^(n must be|images must be a bijection on 1\.\.n, n) >= 1$"
     with pytest.raises(ValueError, match=message):

@@ -1,8 +1,10 @@
 """Regularity conditions: exact thresholds, checker-vs-oracle agreement,
 witnesses, derived claims, frequency diagnostic."""
 
+import dataclasses
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 import pav
 from pav import petrov
 from pav.errors import BadConfig
-from pav.petrov import PetrovReport, below, check_petrov, check_voucher, petrov_frequency
+from pav.petrov import PetrovReport, below, check_petrov, petrov_frequency, slack
 from pav.rng import substream
 
 
@@ -37,6 +39,23 @@ HAND_DERIVED = {
     (7, Fraction(2, 5)): lambda v, n: v**5 < 7**5 * n**2,  # coupling bound 7 n^0.4
 }
 
+# The (coef, exp) pairs petrov names: every regularity threshold of the package
+NAMED = {name: pair for name, pair in vars(petrov).items()
+         if name.isupper() and isinstance(pair, tuple)}
+
+# The n values the threshold rules are checked at
+N_VALUES = [*range(300), 1024, 10**5, 10**6 + 7, 2**40]
+
+
+def signed(value: float, lhs: int, rhs: int) -> float:
+    """The margin rule for the literal inequality lhs < rhs with float slack
+    value: 0.0 at equality, else |value| (at least the least float) with
+    the sign the inequality's outcome gives."""
+    if lhs == rhs:
+        return 0.0
+    magnitude = abs(value) or math.ulp(0.0)
+    return magnitude if lhs < rhs else -magnitude
+
 
 def check_petrov_oracle(path) -> PetrovReport:
     """Literal quantifier enumeration of all four conditions.
@@ -45,7 +64,7 @@ def check_petrov_oracle(path) -> PetrovReport:
     every stated index pair (i, j).  Thresholds are the hand-derived
     integer inequalities, so nothing is shared with the checker's kernels.
     The witness of (c)/(d) is the worst pair at the smallest failing gap
-    (first i on ties) and the margins are the checker's float slacks.
+    (first i on ties) and the margins are float slacks under `signed`.
     For small inputs only: O(n * n^0.6 + m^2) Python steps.
     """
     n = path.n
@@ -59,7 +78,7 @@ def check_petrov_oracle(path) -> PetrovReport:
     x_max = int(np.argmax(gamma))
     g_max = int(gamma[x_max])
     cond_a = 3125 * g_max**5 < 32 * n**3
-    margins["a"] = 0.4 * n**0.6 - g_max
+    margins["a"] = signed(0.4 * n**0.6 - g_max, 3125 * g_max**5, 32 * n**3)
     if not cond_a:
         witnesses["a"] = (x_max, g_max)
 
@@ -74,7 +93,7 @@ def check_petrov_oracle(path) -> PetrovReport:
             wit_b = (x, x + gap, int(gamma[x]), int(gamma[x + gap]))
         gap += 1
     cond_b = 32 * worst_range**5 < n**2
-    margins["b"] = 0.5 * n**0.4 - worst_range
+    margins["b"] = signed(0.5 * n**0.4 - worst_range, 32 * worst_range**5, n**2)
     if not cond_b:
         witnesses["b"] = wit_b
 
@@ -97,10 +116,11 @@ def check_petrov_oracle(path) -> PetrovReport:
             g = min(failing)
             dev, i = worst_at[g]
             witnesses[name] = (i, i + g, dev)
-            margins[name] = 0.1 * g**0.6 - dev
+            margins[name] = signed(0.1 * g**0.6 - dev, 10**5 * dev**5, g**3)
         else:
             margins[name] = min(
-                (0.1 * g**0.6 - dev for g, (dev, _) in worst_at.items()), default=float("inf")
+                (signed(0.1 * g**0.6 - dev, 10**5 * dev**5, g**3)
+                 for g, (dev, _) in worst_at.items()), default=float("inf")
             )
         if not worst_at:
             notes.append(f"({name}) vacuous: no index pairs at gap >= n^0.3")
@@ -138,16 +158,17 @@ def witness_violates(path, condition: str, witness: tuple) -> bool:
 
 
 def gap_enumeration(series, g0):
-    """(ok, witness, margin) of the pair condition, one gap at a time."""
+    """(witness, margin) of the pair condition, one gap at a time."""
     margin = float("inf")
     for g in range(g0, series.size):
         d = np.abs(series[g:] - series[:-g])
         t = int(np.argmax(d))
         worst = int(d[t])
+        gap_slack = signed(0.1 * g**0.6 - worst, 10**5 * worst**5, g**3)
         if not 10**5 * worst**5 < g**3:
-            return False, (t + 1, t + 1 + g, worst), 0.1 * g**0.6 - worst
-        margin = min(margin, 0.1 * g**0.6 - worst)
-    return True, None, margin
+            return (t + 1, t + 1 + g, worst), gap_slack
+        margin = min(margin, gap_slack)
+    return None, margin
 
 
 def assert_matches_oracle(path):
@@ -200,12 +221,30 @@ class TestExactThresholds:
     def test_single_rule_matches_hand_derived(self, rule):
         coef, exp = rule
         literal = HAND_DERIVED[rule]
-        for n in [*range(300), 1024, 10**5, 10**6 + 7, 2**40]:
+        for n in N_VALUES:
             for v in range(200):
                 assert below(v, n, coef, exp) == literal(v, n), (v, n)
             largest = petrov.largest_below(n, coef, exp)
             assert largest == 0 or literal(largest, n)
             assert not literal(largest + 1, n), n
+
+    def test_every_named_pair_has_a_hand_derived_rule(self):
+        assert len(NAMED) == 10
+        assert set(NAMED.values()) == set(HAND_DERIVED)
+
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_slack_signed_as_below(self, name):
+        # the margin's sign is the verdict's, and 0.0 exactly at equality
+        coef, exp = NAMED[name]
+        ties = 0
+        for n in N_VALUES:
+            for v in range(200):
+                s = slack(v, n, coef, exp)
+                assert (s > 0) == below(v, n, coef, exp), (v, n)
+                tie = not below(v, n, coef, exp) and (v / coef) ** exp.denominator == n**exp.numerator
+                assert (s == 0.0) == tie, (v, n, s)
+                ties += tie
+        assert ties >= 1  # n = 0 ties at v = 0 for every pair
 
 
 class TestCheckPetrov:
@@ -217,6 +256,17 @@ class TestCheckPetrov:
     def test_smallest_path_fails_height(self):
         rep = check_petrov(pav.from_text("UD"))
         assert not rep.cond_a  # 1 >= 0.4
+
+    @pytest.mark.parametrize("text,cond", [
+        ("U" * 8 + "D" * 8 + "UD" * 1016, "b"),  # 8 = 0.5 * 1024^0.4, float slack +1.8e-15
+        ("U" * 50 + "D" * 50 + "UD" * 3075, "a"),  # 50 = 0.4 * 3125^0.6, float slack -7.1e-15
+        ("UUDD" * 16, "b"),  # 2 = 0.5 * 32^0.4
+    ])
+    def test_margin_is_zero_at_an_exact_threshold(self, text, cond):
+        rep = check_petrov(pav.from_text(text))
+        assert getattr(rep, f"cond_{cond}") is False
+        assert repr(rep.margins[cond]) == "0.0"
+        assert cond in rep.witnesses
 
     def test_pair_conditions_vacuous_small_m(self):
         rep = check_petrov(pav.from_text("UUUDDD"))  # m = 1
@@ -242,6 +292,7 @@ class TestCheckPetrov:
         for n in range(1, 9):
             for p in pav.enumerate_all(n):
                 assert_matches_oracle(p)
+        assert_matches_oracle(pav.from_text("UUDD" * 16))  # a tie in (b)
 
     def test_witnesses_reverify(self):
         rng = substream(7)
@@ -276,9 +327,9 @@ class TestCheckPetrov:
         series = np.zeros(1000, dtype=np.int64)
         series[100:] += 1
         series[259:] += 1
-        ok, wit, margin = petrov._pair_condition(series, 66)
-        assert (ok, wit) == (True, None)
-        assert margin == 0.1 * 160**0.6 - 2 == gap_enumeration(series, 66)[2]
+        wit, margin = petrov._pair_condition(series, 66)
+        assert wit is None
+        assert margin == 0.1 * 160**0.6 - 2 == gap_enumeration(series, 66)[1]
 
     @pytest.mark.parametrize("size", [1, 2, 7, 12, 101])
     def test_sliding_extreme_matches_window_view(self, size):
@@ -305,29 +356,44 @@ class TestCheckPetrov:
 class TestVoucher:
     def test_vacuous_flag_on_irregular_path(self):
         p = pav.sample_uniform(100, 3)
-        rep = check_voucher(p)
+        rep = check_petrov(p).voucher
+        assert rep is petrov.VACUOUS
         assert rep.vacuous and rep.ok
 
     def test_regular_family_claims_hold(self):
         for k in (25, 100, 1000):
             p = pav.from_text("UUDD" * k)
-            rep = check_voucher(p)
+            rep = check_petrov(p).voucher
             assert not rep.vacuous and rep.ok
+
+    def test_claims_carried_exactly_where_the_conditions_hold(self):
+        paths = itertools.chain(
+            (p for n in range(1, 9) for p in pav.enumerate_all(n)),
+            (pav.from_text("UUDD" * k) for k in (16, 17, 25, 250)),
+        )
+        held = 0
+        for p in paths:
+            rep = check_petrov(p)
+            expected = petrov._voucher(pav.runs(p)) if rep.all_hold else petrov.VACUOUS
+            assert rep.voucher == expected
+            assert rep.as_dict()["voucher"] == dataclasses.asdict(expected)
+            held += rep.all_hold
+        assert held == 3  # (UUDD)^16 fails (b) at its tie, 2 = 0.5 * 32^0.4
 
     def test_small_n_boundary(self):
         # all four conditions hold at n = 34 yet the increment claim
         # 2 < n^0.18 needs n >= 48: a genuine finite-size gap in the
         # derived claims, worth pinning down rather than hiding
         p = pav.from_text("UUDD" * 17)
-        assert check_petrov(p).all_hold
-        rep = check_voucher(p)
+        report = check_petrov(p)
+        assert report.all_hold
+        rep = report.voucher
         assert not rep.vacuous and not rep.increments_ok and not rep.ok
 
     def test_claims_match_literal_evaluation(self):
         # force the claims onto random and long-run paths, where their
         # outcomes vary, and evaluate each stated inequality element by
         # element and each window claim window by window
-        holds = PetrovReport(n=0, m=0, cond_a=True, cond_b=True, cond_c=True, cond_d=True)
         rng = substream(99)
         small = (p for n in range(1, 10) for p in pav.enumerate_all(n))
         large = (pav.sample_uniform(int(rng.integers(1, 400)), rng) for _ in range(200))
@@ -339,7 +405,7 @@ class TestVoucher:
         for p in itertools.chain(small, large, long_runs):
             n, rd = p.n, pav.runs(p)
             y = rd.y.tolist()
-            rep = check_voucher(p, holds)
+            rep = petrov._voucher(rd)
             edge = [i for i in range(1, rd.m + 1) if i**5 < n**3 or (rd.m - i) ** 5 < n**3]
             assert rep.y_edge_ok == all(y[i - 1] ** 5 < n**2 for i in edge)
             runs_ok = all(v**50 < n**9 for v in [*rd.a.tolist(), *rd.d.tolist()])
@@ -369,8 +435,7 @@ class TestVoucher:
         if mirrored:
             text = text[::-1].translate(str.maketrans("UD", "DU"))
         p = pav.from_text(text)
-        holds = PetrovReport(n=0, m=0, cond_a=True, cond_b=True, cond_c=True, cond_d=True)
-        rep = check_voucher(p, holds)
+        rep = petrov._voucher(pav.runs(p))
         assert (p.n, pav.runs(p).m) == (100, 93)
         assert not rep.y_edge_ok
 
